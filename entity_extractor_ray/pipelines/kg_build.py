@@ -88,11 +88,23 @@ class KGResult:
     manufacturers: "ray.data.Dataset" = None  # noqa: F821
 
 
+def _expand(path: str) -> List[str]:
+    """A directory's parquet files (sorted), or the path itself."""
+    import glob
+
+    if os.path.isdir(path):
+        return sorted(glob.glob(os.path.join(path, "*.parquet")))
+    return [path]
+
+
 def _read_turns(turns, columns):
     import ray.data as rd
 
-    if isinstance(turns, (str, list)):
+    if isinstance(turns, str):
         return rd.read_parquet(turns, columns=columns)
+    if isinstance(turns, list):
+        # read_parquet takes one directory, or a list of FILES
+        return rd.read_parquet([f for p in turns for f in _expand(p)], columns=columns)
     return turns.select_columns(columns)
 
 
@@ -541,27 +553,23 @@ def build_kg(
         _status = lambda: rollup_status(  # noqa: E731
             edges, chem_slim, n_buckets, num_join_partitions
         ).materialize()
-        # Branch staging is WIDTH-AWARE (continuation 2). Re-measured
-        # IN-PIPELINE on 2.53M turns, same window, same fixed plan:
-        # at 32 CPUs two driver-thread streaming executors thrash each
-        # other late in a wide session (ids+status 57.5s concurrent vs
-        # 13.3s sequential; records scaled 3.9x in the same run, so not
-        # weather) — the driver-side per-block work of two executors
-        # shares one GIL and grows with in-flight width. At 8 CPUs the
-        # opposite holds (11.7s concurrent vs 30.8s sequential): each
-        # branch is too small to fill even a narrow machine. Auto picks
-        # concurrent below 16 driver-visible CPUs, sequential at/above;
-        # GRAFT_NODES_BRANCH_MODE=concurrent|sequential overrides.
-        mode = os.environ.get("GRAFT_NODES_BRANCH_MODE", "auto")
-        if mode == "auto":
-            import ray as _ray
+        # Branch staging is WIDTH-AWARE. Measured in-pipeline on 2.53M
+        # turns, same fixed plan: at 32 CPUs two driver-thread streaming
+        # executors thrash each other late in a wide session (ids+status
+        # 57.5s concurrent vs 13.3s sequential) — the driver-side per-block
+        # work of two executors shares one GIL and grows with in-flight
+        # width. At 8 CPUs the opposite holds (11.7s concurrent vs 30.8s
+        # sequential): each branch is too small to fill the machine. At
+        # ONE CPU the two executors cannot overlap any task (measured: no
+        # gain, BASELINE.md). So: concurrent from 2 to 15 driver-visible
+        # CPUs, sequential otherwise.
+        import ray as _ray
 
-            try:
-                width = int(_ray.cluster_resources().get("CPU", 0))
-            except Exception:
-                width = 0
-            mode = "concurrent" if 0 < width < 16 else "sequential"
-        if mode == "sequential":
+        try:
+            width = int(_ray.cluster_resources().get("CPU", 0))
+        except Exception:
+            width = 0
+        if not 1 < width < 16:
             ids_all = timed("ids", _ids)
             material_status = timed("status", _status)
         else:
@@ -620,12 +628,6 @@ def build_kg(
             # pruned per feed (the ingest scan never re-reads text).
             import glob as _glob
             import os as _os
-
-            def _expand(p):
-                return (
-                    sorted(_glob.glob(_os.path.join(p, "*.parquet")))
-                    if _os.path.isdir(p) else [p]
-                )
 
             in_files = [
                 f

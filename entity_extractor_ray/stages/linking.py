@@ -40,10 +40,11 @@ A parallel engine can't probe a mutable shared index row-at-a-time
      the A4 transition tables (functions/decision_tables.py).
 
 Scale note: the status fold is order-dependent but its state space is tiny
-(status x source); it composes as a finite-state transition function, so a
-future optimization can pre-compose per-block transition functions instead
-of shipping every mention row to one group. At current scale the fold groups
-are bucket-balanced via bucket_group_apply.
+(status x source); it composes as a finite-state transition function.
+``fold_chemical_states`` uses that: each sorted block pre-composes its
+mentions into per-entity segment summaries, and only those summaries are
+composed per entity, so no entity's mention rows have to meet in one group.
+``fold_chemical_states_simple`` is the per-row reference fold it must equal.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ pandas groupby. Properties:
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import dataclasses
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import pandas as pd
@@ -257,6 +258,11 @@ def _as_pa_type(t) -> pa.DataType:
     return pa.from_numpy_dtype(dt)
 
 
+def arrow_schema(schema) -> pa.Schema:
+    """A Ray ``Dataset.schema()`` as an Arrow schema (see _as_pa_type)."""
+    return pa.schema([(n, _as_pa_type(t)) for n, t in zip(schema.names, schema.types)])
+
+
 def bucket_hash_join(
     left,
     right,
@@ -444,22 +450,153 @@ def bloom_contains(bits: np.ndarray, m: int, k: int,
     return mask
 
 
-def _bloom_prefilter(left, key: str, key_tbls, how: str):
+# ------------------------------------------------------ materialized blocks
+
+
+@dataclasses.dataclass
+class Blocks:
+    """A dataset executed ONCE, as its row-bearing blocks.
+
+    ``refs`` and ``metas`` run in parallel: each block's object ref and Ray
+    Data's own metadata for it (rows, bytes), so counting and sizing cost
+    no task. ``schema`` is the row-bearing blocks' Arrow schema, None when
+    there are none; ``first`` is the first block Ray labelled with a
+    non-empty schema (ref, metadata, schema), kept so an all-empty result
+    still has one. A block is Arrow unless the map that produced it
+    returned pandas; readers normalize with ``as_arrow``."""
+
+    refs: list
+    metas: list
+    schema: Optional[pa.Schema]
+    first: Optional[tuple]
+
+    @property
+    def num_rows(self) -> int:
+        return sum(m.num_rows for m in self.metas)
+
+    @property
+    def size_bytes(self) -> int:
+        return sum(m.size_bytes for m in self.metas)
+
+    def dataset(self):
+        """A Dataset over these blocks that never re-runs the source plan.
+        An all-empty source keeps its first block, so its schema survives."""
+        if not self.refs and self.first is not None:
+            ref, meta, schema = self.first
+            return dataset_of_blocks([ref], [meta], schema)
+        return dataset_of_blocks(self.refs, self.metas, self.schema)
+
+    def column(self, name: str) -> pa.ChunkedArray:
+        """One column of every block, pulled by one whole-CPU task per block;
+        only that column's bytes reach the driver."""
+        import ray
+        from ray.data._internal.remote_fn import cached_remote_fn
+
+        pull = cached_remote_fn(_select_column)
+        cols = ray.get([pull.remote(r, name) for r in self.refs])
+        return pa.chunked_array(cols)
+
+
+def as_arrow(block) -> pa.Table:
+    """A block as an Arrow table: blocks arrive in their native format, a
+    pandas DataFrame when the producing map returned pandas. Ray's own
+    accessor converts; the pandas metadata blob the conversion attaches
+    makes the schema unhashable downstream, so it is stripped."""
+    if isinstance(block, pa.Table):
+        return block
+    from ray.data.block import BlockAccessor
+
+    tbl = BlockAccessor.for_block(block).to_arrow()
+    return tbl.replace_schema_metadata(None) if tbl.schema.metadata else tbl
+
+
+def _select_column(block, name: str) -> pa.Array:
+    return as_arrow(block).column(name).combine_chunks()
+
+
+def _block_schema(block) -> pa.Schema:
+    return as_arrow(block).schema
+
+
+def materialize_blocks(ds) -> Blocks:
+    """Execute ``ds`` once and keep its row-bearing blocks.
+
+    Rows and bytes come from the block metadata Ray Data returns with each
+    output bundle, so the driver runs no task to learn them. The zero-row
+    filler blocks that Ray's sort/shuffle reduce emits for empty partitions
+    are dropped: map operators forward those without calling the UDF, so
+    they carry stale pre-projection schemas. Ray keeps ONE schema label per
+    operator output: once a bundle with a non-empty schema has passed,
+    every later bundle whose schema differs is relabelled with that one's
+    (``dedupe_schemas_with_validation``). So the label is trusted only when
+    that first labelled block bears rows; otherwise one whole-CPU task
+    reads the schema of the first row-bearing block. ``first`` is that
+    first non-empty-labelled block (or the first block), the block
+    ``Dataset.schema()`` would read its schema from."""
+    import ray
+    from ray.data._internal.remote_fn import cached_remote_fn
+    from ray.data.block import _is_empty_schema
+
+    refs, metas, first = [], [], None
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if first is None or (
+                _is_empty_schema(first[2]) and not _is_empty_schema(bundle.schema)
+            ):
+                first = (ref, meta, bundle.schema)
+            if meta.num_rows != 0:
+                refs.append(ref)
+                metas.append(meta)
+    schema = None
+    if refs:
+        if first[0] == refs[0] and isinstance(first[2], pa.Schema):
+            schema = first[2]
+        else:
+            schema = ray.get(cached_remote_fn(_block_schema).remote(refs[0]))
+    return Blocks(refs, metas, schema, first)
+
+
+def dataset_of_blocks(refs, metas, schema):
+    """A MaterializedDataset over existing block refs with known metadata,
+    built the way ``Dataset.materialize`` builds its own: no task runs."""
+    from ray.data._internal.execution.interfaces import RefBundle
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.input_data_operator import InputData
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.context import DataContext
+    from ray.data.dataset import MaterializedDataset
+
+    bundles = [
+        RefBundle(((r, m),), owns_blocks=False, schema=schema)
+        for r, m in zip(refs, metas)
+    ]
+    ctx = DataContext.get_current().copy()
+    plan = ExecutionPlan(DatasetStats(metadata={}, parent=None), ctx)
+    return MaterializedDataset(plan, LogicalPlan(InputData(bundles), ctx))
+
+
+def compact_blocks(ds):
+    """Materialize ``ds`` and rebuild it from only its row-bearing blocks
+    (``materialize_blocks``: one execution, no task unless the schema
+    label is stale). Drops the zero-row filler blocks Ray's sort/shuffle
+    reduce emits for empty partitions — map operators forward those
+    WITHOUT invoking the UDF, so they carry stale pre-projection schemas
+    through the rest of the plan (the mixed-schema RefBundle warnings).
+    Use at small materialization boundaries (e.g. the verified near-dup
+    pair list), never on a raw fact table: the dataset stops streaming
+    here."""
+    return materialize_blocks(ds).dataset()
+
+
+def _bloom_prefilter(left, key: str, keys: pa.ChunkedArray):
     """Map-side Bloom pruning before a bucket-join shuffle: left rows whose
     key cannot exist on the right never enter the exchange. Sound ONLY for
     inner/semi (every surviving row is re-verified by the real join, so
     false positives are harmless; left/outer/anti must keep non-matching
-    lefts). ``key_tbls`` may be Arrow tables or ObjectRefs of them (the
-    round-4 lookup_join defers the key pull to here — the only remaining
-    consumer on the bucket path), so pruning costs no extra right-side
-    pass."""
+    lefts)."""
     import ray
 
-    if how not in ("inner", "semi") or not key_tbls:
-        return left
-    if not isinstance(key_tbls[0], pa.Table):
-        key_tbls = ray.get(list(key_tbls))
-    keys = pa.concat_tables(key_tbls).column(key_tbls[0].column_names[0])
     bits, m, k = build_bloom(keys.to_numpy(zero_copy_only=False))
     bloom_ref = ray.put((bits, m, k))
 
@@ -496,69 +633,48 @@ def lookup_join(
     multiplicity. This mirrors the guide's rule: broadcast dimension-sized
     sides, shuffle fact-sized ones.
 
+    The right side executes exactly ONCE (``materialize_blocks``): the
+    gates read rows and bytes from Ray Data's block metadata, the broadcast
+    ships the row-bearing block refs, and the bucket fallback reads the
+    same blocks instead of re-running the right-side plan. Only
+    the key column crosses to the driver, and only when it is needed: for
+    the uniqueness probe and for the Bloom filter that prunes the left side
+    of an inner/semi bucket join.
+
     ``unique_right=True`` asserts the right keys are STRUCTURALLY unique
-    (a groupby output, a primary-keyed dimension): the driver then reads
-    only per-block metadata — zero key bytes cross to the driver on the
-    broadcast path, removing its serial O(right) term. A false assertion
-    fails LOUDLY — InvalidIndexError at probe time on the broadcast path,
-    MergeError (validate="m:1") inside the bucket fallback — never
-    silently."""
+    (a groupby output, a primary-keyed dimension), which skips the
+    uniqueness probe: zero key bytes cross to the driver on the broadcast
+    path. A false assertion fails LOUDLY — InvalidIndexError at probe time
+    on the broadcast path, MergeError (validate="m:1") inside the bucket
+    fallback — never silently."""
+    import pyarrow.compute as pc
+
     right_key = right_key or key
-
-    import pyarrow as pa2
-    import ray
-
-    # Execute the right side ONCE into object-store blocks; the driver
-    # reads per-block METADATA (rows/bytes/schema) and leaves the projected
-    # key columns in the object store — they are pulled only if needed (the
-    # uniqueness probe when not asserted, or the Bloom build on the bucket
-    # path). The earlier designs pulled the whole right table (round 2),
-    # then the whole key column (round 3), through the driver — a serial
-    # term in every join-bearing stage that did not scale with CPUs.
-    _init_remote()
-    refs = right.to_arrow_refs()
-    pairs = [_project_key_col.remote(r, right_key) for r in refs]
-    metas = ray.get([m for m, _ in pairs]) if refs else []
-    # schema only from blocks that actually carry the key: Ray passes
-    # zero-row blocks through fused filter+project with their
-    # PRE-projection schema
-    key_refs = [kr for (_, kr), m in zip(pairs, metas) if m[0]]
-    schemas = [m[2] for m in metas if m[0]]
-    all_arrow = all(m[3] for m in metas)
-    n_rows = sum(m[1] for m in metas)
-    n_bytes = sum(m[4] for m in metas)
-    import ray.data as rd
-
-    # refs-backed dataset: lets the bucket-join fallback reuse the already-
-    # executed blocks instead of re-running the right-side plan (arrow
-    # blocks only — pandas blocks re-run the original plan)
-    right_mat = rd.from_arrow_refs(refs) if (refs and all_arrow) else right
-    if n_rows > broadcast_limit or n_bytes > broadcast_bytes_limit:
-        # too big to broadcast whole — but its ~10-bits/key Bloom filter is
-        # not: prune the left map-side so only maybe-matching rows shuffle
-        left = _bloom_prefilter(left, key, key_refs, how)
+    blocks = materialize_blocks(right)
+    right_mat = blocks.dataset()
+    n_rows = blocks.num_rows
+    fits = n_rows <= broadcast_limit and blocks.size_bytes <= broadcast_bytes_limit
+    keys = None
+    if fits and n_rows > 0 and not unique_right:
+        keys = blocks.column(right_key)
+        # non-unique right keys: the broadcast index would mis-probe; the
+        # bucket join's pandas merge handles multiplicity correctly
+        fits = pc.count_distinct(keys).as_py() == n_rows
+    if not fits:
+        if how in ("inner", "semi"):
+            # too big to broadcast whole — but its ~10-bits/key Bloom filter
+            # is not: prune the left map-side so only maybe-matching rows
+            # shuffle
+            keys = keys if keys is not None else blocks.column(right_key)
+            left = _bloom_prefilter(left, key, keys)
         return bucket_hash_join(left, right_mat, key, right_key, how, n_buckets,
                                 suffix, unique_right=unique_right)
-    if n_rows > 0 and not unique_right:
-        import pyarrow.compute as pc
 
-        key_tbls = ray.get(key_refs)
-        keys_concat = pa2.concat_tables(key_tbls).column(right_key)
-        if pc.count_distinct(keys_concat).as_py() != n_rows:
-            # non-unique right keys: the broadcast index would mis-probe;
-            # the bucket join's pandas merge handles multiplicity correctly
-            left = _bloom_prefilter(left, key, key_tbls, how)
-            return bucket_hash_join(left, right_mat, key, right_key, how, n_buckets, suffix)
-
-    if schemas:
-        right_schema = schemas[0]
-    else:
+    right_schema = blocks.schema
+    if right_schema is None:
         # zero-row right side: recover its schema so the join still emits
         # the right-hand columns (as nulls for "left", empty for "inner")
-        rs = right.schema()
-        right_schema = rs.to_arrow() if hasattr(rs, "to_arrow") else pa.schema(
-            list(zip(rs.names, rs.types))
-        )
+        right_schema = arrow_schema(right_mat.schema())
     # clash detection without executing the left side; unknown schema (lazy
     # chain, fetch declined) => assume disjoint names (true for all engine
     # call sites) and skip suffixing
@@ -576,7 +692,7 @@ def lookup_join(
     empty_tbl = pa.schema(
         list(zip(renamed_names, [right_schema.field(n).type for n in right_schema.names]))
     ).empty_table()
-    refs_tuple = tuple(refs)
+    refs_tuple = tuple(blocks.refs)
     r_names = [n for n in renamed_names if n != key]
 
     def probe(t: pa.Table) -> pa.Table:
@@ -604,153 +720,32 @@ def lookup_join(
     return left.map_batches(probe, batch_format="pyarrow")
 
 
-_block_as_arrow = None  # ray.remote converter, built lazily (same pattern
-# as _project_key_col: nested def ships by value so workers need no repo
-# sys.path)
-
-
-def _init_block_remote():
-    global _block_as_arrow
-    if _block_as_arrow is None:
-        import ray
-
-        def _impl(tbl):
-            """(n_rows, arrow_block): worker-side row probe + Arrow
-            conversion; the converted block stays in the object store.
-            pandas->arrow conversion re-attaches a pandas metadata blob that
-            makes the schema unhashable downstream — strip it."""
-            import pyarrow as _pa
-
-            if not isinstance(tbl, _pa.Table):
-                from ray.data.block import BlockAccessor
-
-                tbl = BlockAccessor.for_block(tbl).to_arrow()
-            if tbl.schema.metadata:
-                tbl = tbl.replace_schema_metadata(None)
-            return tbl.num_rows, tbl
-
-        _block_as_arrow = ray.remote(num_cpus=0.25, num_returns=2)(_impl)
-
-
-def compact_blocks(ds):
-    """Materialize ``ds`` and rebuild it from only its row-bearing blocks,
-    converted to Arrow on the workers. Drops the zero-row filler blocks
-    Ray's sort/shuffle reduce emits for empty partitions — map operators
-    forward those WITHOUT invoking the UDF, so they carry stale
-    pre-projection schemas through the rest of the plan (the mixed-schema
-    RefBundle warnings). Use at small materialization boundaries (e.g. the
-    verified near-dup pair list), never on a raw fact table: only the row
-    COUNT returns to the driver, but the dataset stops streaming here."""
-    import ray
-    import ray.data as rd
-
-    _init_block_remote()
-    refs = ds.to_arrow_refs()
-    if not refs:
-        return ds
-    pairs = [_block_as_arrow.remote(r) for r in refs]
-    counts = ray.get([n for n, _ in pairs])
-    keep = [t for (_, t), n in zip(pairs, counts) if n > 0]
-    if not keep:  # fully empty dataset: keep one block so the schema survives
-        keep = [pairs[0][1]]
-    return rd.from_arrow_refs(keep)
-
-
-def _as_arrow_block(tbl):
-    """Blocks from to_arrow_refs arrive in their native format — a pandas
-    DataFrame when the producing map returned pandas. Normalize via Ray's
-    own accessor so schemas match what the rest of the plan would see."""
-    if isinstance(tbl, pa.Table):
-        return tbl
-    from ray.data.block import BlockAccessor
-
-    return BlockAccessor.for_block(tbl).to_arrow()
-
-
-_project_key_col = None  # ray.remote wrapper, built on first join (lazy ray import)
-
-
-def _init_remote():
-    """The wrapped impl is defined INSIDE this function — the SINGLE
-    implementation (ADVICE r3: a module-level twin could silently drift) —
-    so cloudpickle ships it by value: a module-level def is pickled by
-    module reference and fails to deserialize (ModuleNotFoundError) on
-    workers whose sys.path lacks the repo root — e.g. a driver started from
-    a different cwd without PYTHONPATH. The nested def only touches
-    pyarrow + ray.data.block, both always importable on workers."""
-    global _project_key_col
-    if _project_key_col is None:
-        import ray
-
-        def _impl(tbl, k: str):
-            """Two returns: a metadata tuple (key_present, n_rows, schema,
-            was_arrow, block_nbytes) that the driver fetches, and the
-            projected key column that STAYS in the object store (pulled only
-            by the uniqueness probe or the Bloom build). key_present is
-            False for the zero-column empty blocks Ray emits from empty
-            map_groups buckets; was_arrow tells the driver whether
-            from_arrow_refs may reuse the raw refs; block_nbytes feeds the
-            broadcast BYTE gate (a row-count gate alone lets a sub-3M-row
-            table of large documents replicate multi-GB per worker)."""
-            import pyarrow as _pa
-
-            was_arrow = isinstance(tbl, _pa.Table)
-            if not was_arrow:
-                from ray.data.block import BlockAccessor
-
-                tbl = BlockAccessor.for_block(tbl).to_arrow()
-            if tbl.num_rows == 0 or k not in tbl.schema.names:
-                return (
-                    (False, 0, (tbl.schema if tbl.num_columns else None), was_arrow, 0),
-                    None,
-                )
-            return (
-                (True, tbl.num_rows, tbl.schema, was_arrow, int(tbl.nbytes)),
-                tbl.select([k]).combine_chunks(),
-            )
-
-        _project_key_col = ray.remote(num_cpus=0.25, num_returns=2)(_impl)
-
-
 _BROADCAST_INDEX_CACHE: dict = {}
 
 
 def _broadcast_index(refs, key: str, renamed_names, empty_tbl):
     """Per-worker-process cache: block-ref tuple -> (pandas Index over the
-    key, Arrow table of the non-key columns). Blocks are fetched zero-copy
-    from the local plasma store, concatenated and renamed PER WORKER — the
-    driver never holds the right side. Only the key hash index costs
-    per-worker build time (once)."""
-    import pyarrow as pa2
+    key, Arrow table of the non-key columns). The row-bearing Arrow blocks
+    are fetched zero-copy from the local plasma store, concatenated and
+    renamed PER WORKER — the driver never holds the right side. Only the
+    key hash index costs per-worker build time (once)."""
     import ray
 
     cache_key = tuple(r.hex() for r in refs)
-    got = _BROADCAST_INDEX_CACHE.get(cache_key)
-    if got is not None:
-        # LRU touch: move to the end so interleaved joins evict the OLDEST
-        # index, not an active one
-        _BROADCAST_INDEX_CACHE.pop(cache_key)
-        _BROADCAST_INDEX_CACHE[cache_key] = got
+    got = _BROADCAST_INDEX_CACHE.pop(cache_key, None)
     if got is None:
-        # drop Ray's zero-row (possibly zero-column) filler blocks before
-        # concat — their empty schemas would fail the concat
-        tbls = [
-            t for t in (_as_arrow_block(b) for b in ray.get(list(refs)))
-            if t.num_rows > 0
-        ]
-        if tbls:
-            tbl = pa2.concat_tables(tbls).combine_chunks().rename_columns(renamed_names)
+        if refs:
+            tbl = pa.concat_tables([as_arrow(b) for b in ray.get(list(refs))])
+            tbl = tbl.combine_chunks()
+            tbl = tbl.rename_columns(renamed_names)
         else:
             tbl = empty_tbl
         index = pd.Index(tbl.column(key).to_numpy(zero_copy_only=False))
-        r_cols = tbl.drop_columns([key]) if hasattr(tbl, "drop_columns") else tbl.remove_column(
-            tbl.schema.get_field_index(key)
-        )
-        got = (index, r_cols.combine_chunks())
+        got = (index, tbl.drop_columns([key]).combine_chunks())
         # bound worker memory: 2 entries (the active join + one overlapping
         # neighbor); entries are <= lookup_join's broadcast_bytes_limit each,
-        # and LRU order (dict insertion + touch-on-hit) evicts the oldest
+        # and LRU order (dict insertion + re-insert on hit) evicts the oldest
         if len(_BROADCAST_INDEX_CACHE) >= 2:
             _BROADCAST_INDEX_CACHE.pop(next(iter(_BROADCAST_INDEX_CACHE)))
-        _BROADCAST_INDEX_CACHE[cache_key] = got
+    _BROADCAST_INDEX_CACHE[cache_key] = got
     return got

@@ -97,12 +97,17 @@ def knn_cosine(embeddings_ds, query_ids: List[int], k: int = 10,
     IN-list metadata predicate, applied vectorized inside each batch before
     scoring — the reference's retrieval is always scoped this way
     (vector_repository.py:56-67 filters by file_id before the L2 order).
-    Queries are looked up in the unfiltered table."""
+    Queries are looked up in the unfiltered table; an id that is not in it
+    yields no rows (the SQL join's semantics)."""
     import pyarrow.compute as pc
 
     import ray
 
     qrows = _fetch_rows_by_ids(embeddings_ds, query_ids)
+    if not qrows:
+        return pd.DataFrame({"query_id": pd.Series([], dtype="int64"),
+                             "vec_id": pd.Series([], dtype="int64"),
+                             "cos_sim": pd.Series([], dtype="float64")})
     qids = np.asarray([r["vec_id"] for r in qrows])
     qmat = _normalize(np.asarray([r["embedding"] for r in qrows], dtype=np.float64))
     ref = ray.put((qids, qmat))

@@ -37,7 +37,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .shuffle import bucket_group_apply
+from .shuffle import (
+    arrow_schema, as_arrow, bucket_group_apply, dataset_of_blocks, materialize_blocks,
+)
 
 # spec kinds -> required fields:
 #   ("row_number", None, out)         1-based position within partition
@@ -196,60 +198,30 @@ def partitioned_window(
 
 # ------------------------------------------------------- global ordered scan
 
-_scan_partial = None
-_scan_apply = None
+
+def _column_sums(block, cols) -> list:
+    import pyarrow.compute as pc
+
+    block = as_arrow(block)
+    return [pc.sum(block.column(c)).as_py() or 0 for c in cols]
 
 
-def _init_scan_remotes():
-    """Nested defs ship by cloudpickle VALUE (the shuffle._init_remote
-    pattern) so workers need no repo sys.path."""
-    global _scan_partial, _scan_apply
-    if _scan_partial is not None:
-        return
-    import ray
-
-    def _partial(tbl, sum_cols):
-        """(n_rows, [block sums]) to the driver; the Arrow-converted block
-        stays in the object store for the apply pass."""
-        import pyarrow as _pa
-        import pyarrow.compute as _pc
-
-        if not isinstance(tbl, _pa.Table):
-            from ray.data.block import BlockAccessor
-
-            tbl = BlockAccessor.for_block(tbl).to_arrow()
-        if tbl.schema.metadata:
-            tbl = tbl.replace_schema_metadata(None)
-        sums = [
-            (_pc.sum(tbl.column(c)).as_py() or 0) if tbl.num_rows else 0
-            for c in sum_cols
-        ]
-        return (tbl.num_rows, sums), tbl
-
-    _scan_partial = ray.remote(num_cpus=0.25, num_returns=2)(_partial)
-
-    def _apply(tbl, specs, keep_cols, row_offset, sum_offsets):
-        import numpy as _np
-        import pyarrow as _pa
-
-        n = tbl.num_rows
-        cols = {c: tbl.column(c) for c in keep_cols}
-        for (kind, src, out), s_off in zip(specs, sum_offsets):
-            if kind == "row_number":
-                cols[out] = _pa.array(
-                    row_offset + 1 + _np.arange(n, dtype=_np.int64), _pa.int64()
-                )
-            else:  # running_sum
-                v = tbl.column(src).to_numpy(zero_copy_only=False)
-                if _np.issubdtype(v.dtype, _np.integer):
-                    cols[out] = _pa.array(s_off + _np.cumsum(v.astype(_np.int64)),
-                                          _pa.int64())
-                else:
-                    cols[out] = _pa.array(s_off + _np.cumsum(v.astype(_np.float64)),
-                                          _pa.float64())
-        return _pa.table(cols)
-
-    _scan_apply = ray.remote(num_cpus=0.5)(_apply)
+def _scan_block(block, specs, out_schema: pa.Schema, row_offset: int,
+                sum_offsets) -> tuple:
+    """(nbytes, table): one sorted block with its window columns, offset by
+    the rows and sums of every block before it."""
+    block = as_arrow(block)
+    n = block.num_rows
+    cols = [block.column(c) for c in out_schema.names[: len(out_schema) - len(specs)]]
+    for (kind, src, _out), s_off in zip(specs, sum_offsets):
+        if kind == "row_number":
+            cols.append(pa.array(row_offset + 1 + np.arange(n, dtype=np.int64)))
+        else:  # running_sum
+            v = block.column(src).to_numpy(zero_copy_only=False)
+            dt = np.int64 if np.issubdtype(v.dtype, np.integer) else np.float64
+            cols.append(pa.array(s_off + np.cumsum(v.astype(dt))))
+    out = pa.table(cols, schema=out_schema)
+    return out.nbytes, out
 
 
 def global_scan(
@@ -264,64 +236,64 @@ def global_scan(
     the distributed zipWithIndex / prefix-sum primitive.
 
     Shape: ONE global sort (Ray's range-partitioned all-to-all — the
-    unavoidable exchange for a total order), then a metadata-only offset
-    pass — the driver fetches one (n_rows, block_sums) tuple PER BLOCK,
-    computes exclusive prefix offsets, and per-block tasks append the
-    window columns with those offsets. Block payloads never cross the
-    driver, so the post-sort cost is O(n_blocks) driver work + one
-    vectorized cumsum per block. Supported specs: ``("row_number", None,
-    out)`` and ``("running_sum", src, out)`` (ROWS UNBOUNDED PRECEDING —
-    deterministic only under a tie-free order key, same contract as
-    partitioned_window). Ties: include a unique column in ``order_by``.
+    unavoidable exchange for a total order), materialized once
+    (``shuffle.materialize_blocks``). Block row counts come from Ray Data's
+    block metadata; a running sum adds one whole-CPU task per block for the
+    block sums. The driver computes exclusive prefix offsets, and per-block
+    tasks append the window columns with those offsets. Block payloads
+    never cross the driver, so the post-sort cost is O(n_blocks) driver work
+    + one vectorized cumsum per block. Supported specs: ``("row_number",
+    None, out)`` and ``("running_sum", src, out)`` (ROWS UNBOUNDED
+    PRECEDING — deterministic only under a tie-free order key, same
+    contract as partitioned_window). Ties: include a unique column in
+    ``order_by``.
     """
     import ray
     import ray.data as rd
+    from ray.data._internal.remote_fn import cached_remote_fn
+    from ray.data.block import BlockMetadata
 
     for kind, _src, _out in specs:
         if kind not in ("row_number", "running_sum"):
             raise ValueError(f"global_scan supports row_number/running_sum, got {kind}")
-    _init_scan_remotes()
-    sorted_ds = ds.sort(list(order_by), descending=descending)
-    mat = sorted_ds.materialize()
-    refs = mat.to_arrow_refs()
-    sum_cols = [src for kind, src, _ in specs if kind == "running_sum"]
-    pairs = [_scan_partial.remote(r, sum_cols) for r in refs]
-    metas = ray.get([m for m, _ in pairs]) if refs else []
+    blocks = materialize_blocks(ds.sort(list(order_by), descending=descending))
 
-    # Ray's sort of an EMPTY dataset loses the schema (mat.schema() is
-    # None or a zero-column filler); fall back to the input's — it is what
-    # keep/the typed empty output must mirror anyway
-    base_schema = mat.schema()
-    if base_schema is None or not base_schema.names:
-        base_schema = ds.schema()
+    # Ray's sort of an EMPTY dataset loses the schema; fall back to the
+    # input's — it is what keep/the typed empty output must mirror anyway
+    base_schema = blocks.schema or arrow_schema(ds.schema())
     keep = list(keep_cols) if keep_cols is not None else list(base_schema.names)
-    specs_ser = [tuple(s) for s in specs]
+    fields = [base_schema.field(n) for n in keep]
+    for kind, src, out in specs:
+        # running_sum over an integer src stays int64 (the cumsum's dtype
+        # rule); anything else sums as float64
+        is_f = kind == "running_sum" and not pa.types.is_integer(
+            base_schema.field(src).type)
+        fields.append(pa.field(out, pa.float64() if is_f else pa.int64()))
+    out_schema = pa.schema(fields)
+    if not blocks.refs:
+        return rd.from_arrow(out_schema.empty_table())
 
-    out_refs = []
+    sum_cols = [src for kind, src, _ in specs if kind == "running_sum"]
+    sums = [[]] * len(blocks.refs)
+    if sum_cols:
+        summer = cached_remote_fn(_column_sums)
+        sums = ray.get([summer.remote(r, sum_cols) for r in blocks.refs])
+    apply = cached_remote_fn(_scan_block, num_returns=2)
+    specs_ser = [tuple(s) for s in specs]
+    sizes, out_refs = [], []
     row_off = 0
-    # per-spec running offsets (row_number slots unused, kept for zip align)
-    sum_off = [0] * len(specs)
-    sum_idx = {i: j for j, i in enumerate(
-        i for i, (k, _, _) in enumerate(specs) if k == "running_sum")}
-    for (n_rows, sums), (_, blk) in zip(metas, pairs):
-        if n_rows == 0:
-            continue
-        out_refs.append(
-            _scan_apply.remote(blk, specs_ser, keep, row_off, list(sum_off))
-        )
-        row_off += n_rows
-        for i, j in sum_idx.items():
-            sum_off[i] += sums[j]
-    if not out_refs:
-        # empty input: emit a typed empty table so downstream schemas hold
-        fields = [
-            (n, t) for n, t in zip(base_schema.names, base_schema.types) if n in keep
-        ]
-        types = dict(zip(base_schema.names, base_schema.types))
-        for kind, src, out in specs:
-            # running_sum over a float src emits float64 (the apply path's
-            # dtype rule); everything else is int64
-            is_f = kind == "running_sum" and pa.types.is_floating(types[src])
-            fields.append((out, pa.float64() if is_f else pa.int64()))
-        return rd.from_arrow(pa.schema(fields).empty_table())
-    return rd.from_arrow_refs(out_refs)
+    sum_off = [0] * len(sum_cols)
+    for ref, meta, block_sums in zip(blocks.refs, blocks.metas, sums):
+        it = iter(sum_off)
+        offs = [next(it) if k == "running_sum" else 0 for k, _, _ in specs]
+        nbytes, out = apply.remote(ref, specs_ser, out_schema, row_off, offs)
+        sizes.append(nbytes)
+        out_refs.append(out)
+        row_off += meta.num_rows
+        sum_off = [a + b for a, b in zip(sum_off, block_sums)]
+    metas = [
+        BlockMetadata(num_rows=m.num_rows, size_bytes=b, input_files=None,
+                      exec_stats=None)
+        for m, b in zip(blocks.metas, ray.get(sizes))
+    ]
+    return dataset_of_blocks(out_refs, metas, out_schema)
