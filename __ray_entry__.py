@@ -439,9 +439,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
     ).map_batches(ts.token_counts, batch_format="pandas")
 
     def _jsonl_by_lang(sf):
+        from entity_extractor_ray.stages.shuffle import group_aggregate
+
         ds = tab.read_documents_jsonl(_jsonl_fixture())
-        out = ds.groupby("lang").count()
-        return out.rename_columns({"count()": "n_docs"})
+        return group_aggregate(ds, "lang", {"n_docs": ("count", None)})
 
     q["jsonl_documents_by_lang"] = _jsonl_by_lang
 
@@ -582,12 +583,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # BFS reference in tests/test_label_propagation.py::TestBfs
     def _bfs(sf):
         import pyarrow as pa
-        from ray.data.aggregate import Min
 
         from entity_extractor_ray.stages.graph import bfs_depths, material_comentions
 
         pairs = material_comentions(_kg(sf).edges).materialize()
-        first = pairs.aggregate(Min("mat_a"))["min(mat_a)"]
+        first = pairs.min("mat_a")
 
         def doubled(t: pa.Table) -> pa.Table:
             a = t.column("mat_a").combine_chunks()

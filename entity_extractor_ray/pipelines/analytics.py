@@ -20,6 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources.cleanscan import read_parquet_clean as _rpc
+from ..stages.shuffle import group_aggregate
 
 
 def _read(sf_dir: str, table: str, columns=None):
@@ -46,36 +47,28 @@ def lineitem_corr_by_flag(sf_dir: str):
     correlation/covariance expression is evaluated in doubles written
     identically in the SQL oracle, so parity is bit-exact without trusting
     either engine's streaming-corr kernel."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_quantity", "l_extendedprice"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def products(t: pa.Table) -> pa.Table:
         x = pc.cast(pc.round(t.column("l_quantity")), pa.int64())
         # whole dollars via cents // 100: INTEGER division on both engines —
         # a direct round-to-dollars would hit .50 ties where pyarrow
         # (half-even) and DuckDB (half-away) disagree
         y = pc.divide(_cents(t.column("l_extendedprice")), pa.scalar(100, pa.int64()))
-        tt = pa.table(
+        return pa.table(
             {
                 "l_returnflag": t.column("l_returnflag"),
-                "n": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-                "sx": x,
-                "sy": y,
-                "sxx": pc.multiply(x, x),
-                "syy": pc.multiply(y, y),
-                "sxy": pc.multiply(x, y),
+                "x": x,
+                "y": y,
+                "xx": pc.multiply(x, x),
+                "yy": pc.multiply(y, y),
+                "xy": pc.multiply(x, y),
             }
         )
-        agg = tt.group_by("l_returnflag").aggregate(
-            [(c, "sum") for c in ("n", "sx", "sy", "sxx", "syy", "sxy")]
-        )
-        return agg.rename_columns(["l_returnflag", "n", "sx", "sy", "sxx", "syy", "sxy"])
 
-    sums = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("l_returnflag")
-        .aggregate(*[Sum(c, alias_name=c) for c in ("n", "sx", "sy", "sxx", "syy", "sxy")])
+    sums = group_aggregate(
+        ds.map_batches(products, batch_format="pyarrow"), "l_returnflag",
+        {"n": ("count", None), **{"s" + c: ("sum", c) for c in ("x", "y", "xx", "yy", "xy")}},
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -134,8 +127,6 @@ def q14_promo_revenue(sf_dir: str):
     to TWO int64 cents-exact partial sums (promo, total), the driver sees
     only their global Sum, and the single division is the one float op —
     written identically in the oracle."""
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import lookup_join
 
     import ray.data as rd
@@ -177,11 +168,9 @@ def q14_promo_revenue(sf_dir: str):
             }
         )
 
-    sums = joined.map_batches(partial, batch_format="pyarrow").aggregate(
-        Sum("promo", alias_name="promo"), Sum("total", alias_name="total")
-    )
-    promo = float(sums["promo"] or 0)
-    total = float(sums["total"] or 0)
+    sums = joined.map_batches(partial, batch_format="pyarrow").sum(["promo", "total"]) or {}
+    promo = float(sums.get("sum(promo)") or 0)
+    total = float(sums.get("sum(total)") or 0)
     import ray.data as rd
 
     # total == 0 (no lineitems in the date window) mirrors the SQL oracle,
@@ -220,8 +209,6 @@ def q22_idle_customers(sf_dir: str):
     predicate is the engine's distributed anti bucket join against the
     FILTERED orders scan (right side ships per-batch distinct custkeys);
     the rollup is a dimension-sized groupby."""
-    from ray.data.aggregate import Count, Sum
-
     from ..stages.shuffle import bucket_hash_join
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"])
@@ -243,10 +230,8 @@ def q22_idle_customers(sf_dir: str):
             }
         )
 
-    agg = cust.map_batches(pos_partial, batch_format="pyarrow").aggregate(
-        Sum("s", alias_name="s"), Sum("n", alias_name="n")
-    )
-    thr_cents = float(agg["s"] or 0) / float(agg["n"] or 1)
+    agg = cust.map_batches(pos_partial, batch_format="pyarrow").sum(["s", "n"]) or {}
+    thr_cents = float(agg.get("sum(s)") or 0) / float(agg.get("sum(n)") or 1)
 
     def above(t: pa.Table) -> pa.Table:
         cents = _cents(t.column("c_acctbal"))
@@ -267,10 +252,9 @@ def q22_idle_customers(sf_dir: str):
             }
         )
 
-    by_nation = (
-        idle.map_batches(cents_col, batch_format="pyarrow")
-        .groupby("c_nationkey")
-        .aggregate(Count(alias_name="n_custs"), Sum("cents", alias_name="cents"))
+    by_nation = group_aggregate(
+        idle.map_batches(cents_col, batch_format="pyarrow"), "c_nationkey",
+        {"n_custs": ("count", None), "cents": ("sum", "cents")},
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -323,8 +307,6 @@ def events_funnel(sf_dir: str):
     O(distinct-users-per-batch × n_batches) extra exchange volume
     (VERDICT r3 "what's wrong" #3)."""
     import ray.data as rd
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import bucket_group_apply
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
@@ -367,7 +349,7 @@ def events_funnel(sf_dir: str):
         )
 
     partials = bucket_group_apply(pre, ["user_id"], bucket_fn, n_buckets=16)
-    hist = partials.groupby("stage").aggregate(Sum("n_users", alias_name="n_users"))
+    hist = group_aggregate(partials, "stage", {"n_users": ("sum", "n_users")})
 
     # stage-0 completion: exact global distinct users from one 1-column
     # aggregate (per-batch unique partial, user-keyed count, row count);
@@ -376,13 +358,10 @@ def events_funnel(sf_dir: str):
     def uniq_users(t: pa.Table) -> pa.Table:
         return pa.table({"user_id": t.column("user_id").unique()})
 
-    n_global = (
-        _read(sf_dir, "events", ["user_id"])
-        .map_batches(uniq_users, batch_format="pyarrow")
-        .groupby("user_id")
-        .count()
-        .count()
-    )
+    n_global = group_aggregate(
+        _read(sf_dir, "events", ["user_id"]).map_batches(uniq_users, batch_format="pyarrow"),
+        "user_id", {"n": ("count", None)},
+    ).count()
     rows = {int(r["stage"]): int(r["n_users"]) for r in hist.take_all()}
     rows[0] = rows.get(0, 0) + (n_global - sum(rows.values()))
     if rows[0] == 0:
@@ -434,8 +413,6 @@ def user_cohort_retention(sf_dir: str):
     its users' cohort day (grouped min) and offsets vectorized, emitting
     per-bucket partial counts; a tiny (cohort, offset) groupby sums them.
     Never a user × day self-join."""
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import bucket_group_apply
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
@@ -473,8 +450,8 @@ def user_cohort_retention(sf_dir: str):
         )
 
     partials = bucket_group_apply(pre, ["user_id"], bucket_fn, n_buckets=16)
-    return partials.groupby(["cohort_day", "day_offset"]).aggregate(
-        Sum("n_users", alias_name="n_users")
+    return group_aggregate(
+        partials, ["cohort_day", "day_offset"], {"n_users": ("sum", "n_users")}
     )
 
 
@@ -707,7 +684,6 @@ def q5_local_supplier_revenue(sf_dir: str):
     (orders by date+region before shipping, lineitem projected to 3
     columns). Revenue stays integer cents until the final division."""
     import ray
-    from ray.data.aggregate import Sum
 
     from ..stages.shuffle import lookup_join
 
@@ -808,10 +784,9 @@ def q5_local_supplier_revenue(sf_dir: str):
             }
         )
 
-    agg = (
-        joined.map_batches(local_only, batch_format="pyarrow")
-        .groupby("n_name")
-        .aggregate(Sum("rev", alias_name="rev"))
+    agg = group_aggregate(
+        joined.map_batches(local_only, batch_format="pyarrow"),
+        "n_name", {"rev": ("sum", "rev")},
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -851,28 +826,16 @@ def q13_customer_distribution(sf_dir: str):
     partial counts by custkey, one custkey groupby, a LEFT lookup_join from
     the customer dimension (null → 0), then the tiny second groupby over the
     count value itself."""
-    from ray.data.aggregate import Count, Sum
-
     from ..stages.shuffle import lookup_join
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        kept = t.filter(
-            pc.not_equal(t.column("o_orderpriority"), "5-LOW")
-        )
-        agg = kept.group_by("o_custkey").aggregate([([], "count_all")])
-        return pa.table(
-            {
-                "o_custkey": agg.column("o_custkey"),
-                "n": pc.cast(agg.column("count_all"), pa.int64()),
-            }
-        )
+    def not_low(t: pa.Table) -> pa.Table:
+        return t.filter(pc.not_equal(t.column("o_orderpriority"), "5-LOW"))
 
-    counts = (
-        orders.map_batches(partial, batch_format="pyarrow")
-        .groupby("o_custkey")
-        .aggregate(Sum("n", alias_name="c_count"))
+    counts = group_aggregate(
+        orders.map_batches(not_low, batch_format="pyarrow"), "o_custkey",
+        {"c_count": ("count", None)},
     )
 
     cust = _read(sf_dir, "customer", ["c_custkey"])
@@ -890,9 +853,10 @@ def q13_customer_distribution(sf_dir: str):
         )
 
     return (
-        withc.map_batches(coalesce, batch_format="pyarrow")
-        .groupby("c_count")
-        .aggregate(Count(alias_name="custdist"))
+        group_aggregate(
+            withc.map_batches(coalesce, batch_format="pyarrow"), "c_count",
+            {"custdist": ("count", None)},
+        )
         .map_batches(
             lambda t: pa.table(
                 {
@@ -925,26 +889,21 @@ def q18_large_volume_orders(sf_dir: str, qty_floor: int = 300):
     their customer name. The quantity rollup is map-side partials into ONE
     orderkey groupby; the survivors (a tiny set) flow back over orders and
     customer as lookup_joins, so the full fact table is never re-shuffled."""
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import lookup_join
 
     items = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        tt = pa.table(
+    def whole_qty(t: pa.Table) -> pa.Table:
+        return pa.table(
             {
                 "l_orderkey": t.column("l_orderkey"),
                 "q": pc.cast(pc.round(t.column("l_quantity")), pa.int64()),
             }
         )
-        agg = tt.group_by("l_orderkey").aggregate([("q", "sum")])
-        return agg.rename_columns(["l_orderkey", "q"])
 
-    sums = (
-        items.map_batches(partial, batch_format="pyarrow")
-        .groupby("l_orderkey")
-        .aggregate(Sum("q", alias_name="sum_qty"))
+    sums = group_aggregate(
+        items.map_batches(whole_qty, batch_format="pyarrow"), "l_orderkey",
+        {"sum_qty": ("sum", "q")},
     )
 
     big = sums.map_batches(
@@ -997,8 +956,6 @@ def q19_disjunctive_revenue(sf_dir: str):
     vectorized AFTER the part attributes attach via lookup_join. Each batch
     reduces to one int64 partial; the driver sees two scalars. Returns 0.0
     (not NULL) on an empty match, mirrored with COALESCE in the oracle."""
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import lookup_join
 
     items = _read(
@@ -1040,14 +997,12 @@ def q19_disjunctive_revenue(sf_dir: str):
         rev = pc.multiply(ext, pc.subtract(pa.scalar(100, pa.int64()), disc))
         return pa.table({"rev": pa.array([pc.sum(rev).as_py() or 0], pa.int64())})
 
-    total = joined.map_batches(partial, batch_format="pyarrow").aggregate(
-        Sum("rev", alias_name="rev")
-    )
+    total = joined.map_batches(partial, batch_format="pyarrow").sum("rev")
     import ray.data as rd
 
     return rd.from_arrow(
         pa.table(
-            {"revenue": pa.array([float(total["rev"] or 0) / 10000.0], pa.float64())}
+            {"revenue": pa.array([float(total or 0) / 10000.0], pa.float64())}
         )
     )
 
@@ -1154,8 +1109,6 @@ def events_transition_matrix(sf_dir: str):
     ONE user-keyed bucket shuffle; inside the bucket a single lexsort +
     shifted comparison derives every consecutive pair vectorized; the
     25-row partials meet in a tiny final groupby."""
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import bucket_group_apply
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
@@ -1183,9 +1136,7 @@ def events_transition_matrix(sf_dir: str):
         )
 
     partials = bucket_group_apply(ds, ["user_id"], bucket_fn, n_buckets=16)
-    return partials.groupby(["src_type", "dst_type"]).aggregate(
-        Sum("n", alias_name="n")
-    )
+    return group_aggregate(partials, ["src_type", "dst_type"], {"n": ("sum", "n")})
 
 
 EVENTS_TRANSITION_SQL = """
@@ -1213,8 +1164,6 @@ def embedding_centroids(sf_dir: str):
     identically in the SQL. The matrix decode is the zero-copy buffer
     reshape, never to_pylist."""
     import ray.data as rd
-    from ray.data.aggregate import Sum
-
     from ..stages.similarity import list_column_to_matrix
 
     ds = _rpc(
@@ -1248,10 +1197,9 @@ def embedding_centroids(sf_dir: str):
             }
         )
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["label", "dim"])
-        .aggregate(Sum("s", alias_name="s"), Sum("n", alias_name="n"))
+    agg = group_aggregate(
+        ds.map_batches(partial, batch_format="pyarrow"), ["label", "dim"],
+        {"s": ("sum", "s"), "n": ("sum", "n")},
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -1372,27 +1320,18 @@ def events_props_extract(sf_dir: str):
     avg is the single float op, written identically in the oracle. Rows
     whose props lack a parseable k drop out in both engines (JSON null →
     CAST NULL → excluded from sum/count via the filter)."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["event_type", "props"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def parsed_k(t: pa.Table) -> pa.Table:
         hit = pc.extract_regex(t.column("props"), pattern=r'"k":\s*(?P<k>-?\d+)')
         k = pc.cast(pc.struct_field(hit, "k"), pa.int64())
-        tt = pa.table(
-            {
-                "event_type": t.column("event_type"),
-                "k": k,
-                "one": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-            }
-        ).filter(pc.is_valid(k))
-        agg = tt.group_by("event_type").aggregate([("k", "sum"), ("one", "sum")])
-        return agg.rename_columns(["event_type", "sum_k", "n"])
+        return pa.table({"event_type": t.column("event_type"), "k": k}).filter(
+            pc.is_valid(k)
+        )
 
-    sums = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(Sum("sum_k", alias_name="sum_k"), Sum("n", alias_name="n"))
+    sums = group_aggregate(
+        ds.map_batches(parsed_k, batch_format="pyarrow"), "event_type",
+        {"sum_k": ("sum", "k"), "n": ("count", None)},
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -1433,12 +1372,10 @@ def weighted_sample_docs(sf_dir: str):
     where u = the first 10 md5 hex digits (40 bits, so both products stay
     < 2⁶³) — no float threshold anywhere. One tiny max aggregate broadcast
     as a Python int, then a pure map-side filter."""
-    from ray.data.aggregate import Max
-
     from ..stages.samples import md5_hex_array
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
-    max_w = int(ds.aggregate(Max("n_chars"))["max(n_chars)"])
+    max_w = int(ds.max("n_chars"))
     scale = 16 ** 10
 
     def keep(t: pa.Table) -> pa.Table:
@@ -1690,8 +1627,6 @@ def events_daily_actives(sf_dir: str):
     (a ~50× reduction before any exchange); ONE user-keyed bucket shuffle
     finishes the distinct exactly (all of a user's rows co-locate) and
     emits per-day partials; a tiny day groupby sums them."""
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import bucket_group_apply
 
     ds = _read(sf_dir, "events", ["ts", "user_id", "event_type"])
@@ -1719,9 +1654,9 @@ def events_daily_actives(sf_dir: str):
         )
 
     partials = bucket_group_apply(pre, ["user_id"], bucket_fn, n_buckets=16)
-    return partials.groupby("day").aggregate(
-        Sum("n_active", alias_name="n_active"),
-        Sum("n_purchasers", alias_name="n_purchasers"),
+    return group_aggregate(
+        partials, "day",
+        {"n_active": ("sum", "n_active"), "n_purchasers": ("sum", "n_purchasers")},
     )
 
 
@@ -1754,8 +1689,6 @@ def events_cohort_retention(sf_dir: str):
     together and the bucket emits (cohort_day, day_offset) PARTIAL counts
     — exchange rows are user-days, never events — and a tiny final
     groupby over the matrix cells (days x days upper bound) sums them."""
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import bucket_group_apply
 
     ds = _read(sf_dir, "events", ["ts", "user_id"])
@@ -1790,8 +1723,8 @@ def events_cohort_retention(sf_dir: str):
         )
 
     partials = bucket_group_apply(pre, ["user_id"], bucket_fn, n_buckets=16)
-    return partials.groupby(["cohort_day", "day_offset"]).aggregate(
-        Sum("n_users", alias_name="n_users")
+    return group_aggregate(
+        partials, ["cohort_day", "day_offset"], {"n_users": ("sum", "n_users")}
     )
 
 
@@ -1823,8 +1756,6 @@ def events_cumulative_users(sf_dir: str):
     its metadata-only offset pass means the cumulative never funnels row
     payloads through the driver, so the same plan holds when "days"
     become per-minute buckets over years."""
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import bucket_group_apply
     from ..stages.windowfns import global_scan
 
@@ -1855,7 +1786,7 @@ def events_cumulative_users(sf_dir: str):
         )
 
     partials = bucket_group_apply(pre, ["user_id"], bucket_fn, n_buckets=16)
-    per_day = partials.groupby("day").aggregate(Sum("n_new", alias_name="n_new"))
+    per_day = group_aggregate(partials, "day", {"n_new": ("sum", "n_new")})
     return global_scan(per_day, order_by=["day"],
                        specs=[("running_sum", "n_new", "n_cum")])
 
@@ -1883,7 +1814,6 @@ def nation_revenue_share(sf_dir: str):
     one driver-side pass and the share division is the only float op,
     written identically in the oracle."""
     import ray
-    from ray.data.aggregate import Sum
 
     from ..stages.shuffle import lookup_join
 
@@ -1922,13 +1852,11 @@ def nation_revenue_share(sf_dir: str):
             }
         )
 
-    per_nation = (
-        joined.map_batches(to_nation, batch_format="pyarrow")
-        .groupby("n_name")
-        .aggregate(Sum("cents", alias_name="cents"))
-        .materialize()
-    )
-    tot = int(per_nation.aggregate(Sum("cents"))["sum(cents)"] or 0)
+    per_nation = group_aggregate(
+        joined.map_batches(to_nation, batch_format="pyarrow"), "n_name",
+        {"cents": ("sum", "cents")},
+    ).materialize()
+    tot = int(per_nation.sum("cents") or 0)
 
     def finalize(t: pa.Table) -> pa.Table:
         cents = t.column("cents")
@@ -2013,7 +1941,6 @@ def q7_nation_volume(sf_dir: str, nation_a: str = "NATION_18",
     already). Year extraction is pc.year == EXTRACT(year) — integer in
     both engines; revenue stays integer cents."""
     import ray
-    from ray.data.aggregate import Sum
 
     from ..stages.shuffle import lookup_join
 
@@ -2097,10 +2024,9 @@ def q7_nation_volume(sf_dir: str, nation_a: str = "NATION_18",
         keep = pc.not_equal(t.column("supp_nation"), t.column("cust_nation"))
         return t.filter(keep).select(["supp_nation", "cust_nation", "year", "rev"])
 
-    agg = (
-        joined.map_batches(cross_only, batch_format="pyarrow")
-        .groupby(["supp_nation", "cust_nation", "year"])
-        .aggregate(Sum("rev", alias_name="rev"))
+    agg = group_aggregate(
+        joined.map_batches(cross_only, batch_format="pyarrow"),
+        ["supp_nation", "cust_nation", "year"], {"rev": ("sum", "rev")},
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -2151,8 +2077,6 @@ def q10_returned_revenue(sf_dir: str, top_n: int = 20):
     scan; survivors join orders (date-windowed, lookup_join) and roll up
     before the tiny top-N truncation — the fact table is never sorted."""
     import ray.data as rd
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import lookup_join
 
     lo = pa.scalar(np.datetime64("1996-01-01", "us"), pa.timestamp("us"))
@@ -2194,13 +2118,7 @@ def q10_returned_revenue(sf_dir: str, top_n: int = 20):
         key="l_orderkey", right_key="o_orderkey",
     )
 
-    per_cust = (
-        joined.map_batches(
-            lambda t: t.select(["o_custkey", "rev"]), batch_format="pyarrow"
-        )
-        .groupby("o_custkey")
-        .aggregate(Sum("rev", alias_name="rev"))
-    )
+    per_cust = group_aggregate(joined, "o_custkey", {"rev": ("sum", "rev")})
 
     def finalize(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -2246,8 +2164,6 @@ def revenue_yoy_growth(sf_dir: str):
     (dimension-sized: a handful of years); the lag itself is a vectorized
     shift over that tiny sorted table, never a window over raw facts.
     First year reports NULL delta/growth in both engines."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
 
     def prep(t: pa.Table) -> pa.Table:
@@ -2259,9 +2175,8 @@ def revenue_yoy_growth(sf_dir: str):
         )
 
     agg = (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("year")
-        .aggregate(Sum("cents", alias_name="cents"))
+        group_aggregate(ds.map_batches(prep, batch_format="pyarrow"), "year",
+                        {"cents": ("sum", "cents")})
         .sort("year")
         .repartition(1)
     )
@@ -2326,8 +2241,6 @@ def events_time_weighted_value(sf_dir: str):
     readings ≈ 3e17 < 2⁶³); the single final division is written
     identically in the oracle. ONE user bucket shuffle; inside, one
     lexsort + shifted diff derives every holding interval vectorized."""
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import bucket_group_apply
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "value"])
@@ -2358,9 +2271,7 @@ def events_time_weighted_value(sf_dir: str):
         )
 
     partials = bucket_group_apply(ds, ["user_id"], bucket_fn, n_buckets=16)
-    agg = partials.groupby("user_id").aggregate(
-        Sum("w", alias_name="w"), Sum("dur", alias_name="dur")
-    )
+    agg = group_aggregate(partials, "user_id", {"w": ("sum", "w"), "dur": ("sum", "dur")})
 
     def finalize(t: pa.Table) -> pa.Table:
         w = t.column("w").to_numpy().astype(np.float64)

@@ -55,6 +55,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.arrowutil import rename_agg
+from ..stages.shuffle import group_aggregate
 from .analytics import _cents, _read
 
 # ------------------------------------------------------------- grouped OLS
@@ -68,35 +69,25 @@ def regression_by_flag(sf_dir: str):
     integer division on both engines); slope/intercept/r2 are each ONE
     double expression written identically in REGRESSION_SQL, so parity is
     bit-exact without trusting either engine's regr_* kernels."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_quantity", "l_extendedprice"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def products(t: pa.Table) -> pa.Table:
         x = pc.cast(pc.round(t.column("l_quantity")), pa.int64())
         y = pc.divide(_cents(t.column("l_extendedprice")), pa.scalar(100, pa.int64()))
-        tt = pa.table(
+        return pa.table(
             {
                 "l_returnflag": t.column("l_returnflag"),
-                "n": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-                "sx": x,
-                "sy": y,
-                "sxx": pc.multiply(x, x),
-                "syy": pc.multiply(y, y),
-                "sxy": pc.multiply(x, y),
+                "x": x,
+                "y": y,
+                "xx": pc.multiply(x, x),
+                "yy": pc.multiply(y, y),
+                "xy": pc.multiply(x, y),
             }
         )
-        agg = tt.group_by("l_returnflag").aggregate(
-            [(c, "sum") for c in ("n", "sx", "sy", "sxx", "syy", "sxy")]
-        )
-        mapping = {"l_returnflag": "l_returnflag"}
-        mapping.update({f"{c}_sum": c for c in ("n", "sx", "sy", "sxx", "syy", "sxy")})
-        return rename_agg(agg, mapping)
 
-    sums = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("l_returnflag")
-        .aggregate(*[Sum(c, alias_name=c) for c in ("n", "sx", "sy", "sxx", "syy", "sxy")])
+    sums = group_aggregate(
+        ds.map_batches(products, batch_format="pyarrow"), "l_returnflag",
+        {"n": ("count", None), **{"s" + c: ("sum", c) for c in ("x", "y", "xx", "yy", "xy")}},
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -561,6 +552,10 @@ def _apply_merge_np(flat: np.ndarray, offsets: np.ndarray, left: str, right: str
     return new_flat, new_offsets
 
 
+def _top_pair(t: pa.Table) -> pa.Table:
+    return t.sort_by([("n", "descending"), ("l", "ascending"), ("r", "ascending")]).slice(0, 1)
+
+
 def bpe_merges(sf_dir: str, n_merges: int = 20, min_pair: int = 2):
     """Byte-pair-encoding merge-table training (Sennrich et al. 2016) over
     the documents corpus — the tokenizer-training step of an LLM data
@@ -570,33 +565,23 @@ def bpe_merges(sf_dir: str, n_merges: int = 20, min_pair: int = 2):
     (pre-reduced per batch). Every merge round then runs over the VOCAB
     dataset (unique words — sublinear in corpus size): a per-batch
     adjacent-pair count weighted by word frequency (offsets shift trick,
-    no row loops), a (l, r)-keyed Sum, and a sort+limit(1) whose single
-    row is all the driver sees; the merge itself is a vectorized map-side
-    rewrite (_apply_merge_np) with greedy-leftmost overlap semantics. The
+    no row loops), a (l, r)-keyed Sum, and a per-block top-1 whose rows
+    (one per block) are all the driver sees; the merge itself is a
+    vectorized map-side rewrite (_apply_merge_np) with greedy-leftmost
+    overlap semantics. The
     vocab is re-materialized per round to keep the lazy plan flat (20
     rounds × vocab-sized blocks). Returns the learned merge table
     (rank, left, right, pair_n) — inherently driver-sized (n_merges
     rows). Non-SQL-expressible (iterative argmax); pinned against a
     serial reference in tests/test_mining.py."""
-    from ray.data.aggregate import Sum
-
     docs = _read(sf_dir, "documents", ["text"])
 
-    def word_partial(t: pa.Table) -> pa.Table:
+    def words(t: pa.Table) -> pa.Table:
         parts = pc.split_pattern(t.column("text"), pattern=" ")
-        flat = pa.table({"word": parts.combine_chunks().flatten()})
-        agg = pa.TableGroupBy(flat, "word").aggregate([([], "count_all")])
-        return pa.table(
-            {
-                "word": agg.column("word"),
-                "cnt": pc.cast(agg.column("count_all"), pa.int64()),
-            }
-        )
+        return pa.table({"word": parts.combine_chunks().flatten()})
 
-    vocab_words = (
-        docs.map_batches(word_partial, batch_format="pyarrow")
-        .groupby("word")
-        .aggregate(Sum("cnt", alias_name="cnt"))
+    vocab_words = group_aggregate(
+        docs.map_batches(words, batch_format="pyarrow"), "word", {"cnt": ("count", None)}
     )
 
     def to_symbols(t: pa.Table) -> pa.Table:
@@ -640,13 +625,14 @@ def bpe_merges(sf_dir: str, n_merges: int = 20, min_pair: int = 2):
 
     merges = []
     for rank in range(n_merges):
-        top = (
-            vocab.map_batches(pair_partial, batch_format="pyarrow")
-            .groupby(["l", "r"])
-            .aggregate(Sum("partial", alias_name="n"))
-            .sort(["n", "l", "r"], descending=[True, False, False])
-            .limit(1)
-            .take(1)
+        # argmax with the (n desc, l, r) tiebreak: each block's best row,
+        # then the best of those; no second exchange
+        top = sorted(
+            group_aggregate(vocab.map_batches(pair_partial, batch_format="pyarrow"),
+                            ["l", "r"], {"n": ("sum", "partial")})
+            .map_batches(_top_pair, batch_format="pyarrow")
+            .take_all(),
+            key=lambda r: (-r["n"], r["l"], r["r"]),
         )
         if not top or int(top[0]["n"]) < min_pair:
             break
@@ -981,13 +967,11 @@ def distinctive_terms_llr(sf_dir: str, min_count: int = 10, top_k: int = 15):
     in DISTINCTIVE_LLR_SQL. Ranking ties break on (llr desc, word asc);
     the final per-lang top-k runs in map_groups over ~5 lang groups of
     vocab-sized rows."""
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import lookup_join
 
     docs = _read(sf_dir, "documents", ["lang", "text"])
 
-    def lw_partial(t: pa.Table) -> pa.Table:
+    def lang_words(t: pa.Table) -> pa.Table:
         parts = pc.split_pattern(t.column("text"), pattern=" ").combine_chunks()
         offs = parts.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
         words = parts.flatten()
@@ -996,25 +980,15 @@ def distinctive_terms_llr(sf_dir: str, min_count: int = 10, top_k: int = 15):
             t.column("lang"),
             pa.array(np.repeat(np.arange(len(widths), dtype=np.int64), widths)),
         )
-        raw = pa.table({"lang": langs, "word": words})
-        agg = pa.TableGroupBy(raw, ["lang", "word"]).aggregate([([], "count_all")])
-        return pa.table(
-            {
-                "lang": agg.column("lang"),
-                "word": agg.column("word"),
-                "partial": pc.cast(agg.column("count_all"), pa.int64()),
-            }
-        )
+        return pa.table({"lang": langs, "word": words})
 
-    lw = (
-        docs.map_batches(lw_partial, batch_format="pyarrow")
-        .groupby(["lang", "word"])
-        .aggregate(Sum("partial", alias_name="a"))
-        .materialize()  # reused: totals + the scored relation
-    )
+    lw = group_aggregate(
+        docs.map_batches(lang_words, batch_format="pyarrow"), ["lang", "word"],
+        {"a": ("count", None)},
+    ).materialize()  # reused: totals + the scored relation
 
-    lang_tot = lw.groupby("lang").aggregate(Sum("a", alias_name="t"))
-    word_tot = lw.groupby("word").aggregate(Sum("a", alias_name="g"))
+    lang_tot = group_aggregate(lw, "lang", {"t": ("sum", "a")})
+    word_tot = group_aggregate(lw, "word", {"g": ("sum", "a")})
     n_total = int(lw.sum("a") or 0)
 
     j1 = lookup_join(
@@ -1126,8 +1100,6 @@ def fd_audit(sf_dir: str):
     multi-key sort aggregate anywhere (the _tagged_sum_reduce lesson).
     Counts exact int64; mirrored in FD_AUDIT_SQL as UNION ALL of
     per-candidate census blocks."""
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import bucket_group_apply_arrow
 
     rows = []
@@ -1155,12 +1127,12 @@ def fd_audit(sf_dir: str):
                 }
             )
 
-        g = bucket_group_apply_arrow(dedup, [lhs], census, n_buckets=16).aggregate(
-            Sum("n_lhs", alias_name="n_lhs"), Sum("viol", alias_name="n_violating")
-        ) or {}  # Dataset.aggregate yields None on an empty candidate relation
+        g = bucket_group_apply_arrow(dedup, [lhs], census, n_buckets=16).sum(
+            ["n_lhs", "viol"]
+        ) or {}  # None on an empty candidate relation
         rows.append(
-            (f"{table}.{lhs}->{rhs}", int(g.get("n_lhs") or 0),
-             int(g.get("n_violating") or 0))
+            (f"{table}.{lhs}->{rhs}", int(g.get("sum(n_lhs)") or 0),
+             int(g.get("sum(viol)") or 0))
         )
     return pa.table(
         {

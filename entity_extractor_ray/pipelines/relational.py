@@ -19,6 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources.cleanscan import read_parquet_clean as _rpc
+from ..stages.shuffle import group_aggregate
 
 
 def _read(sf_dir: str, table: str, columns=None):
@@ -36,8 +37,6 @@ def _cents(col: pa.ChunkedArray) -> pa.ChunkedArray:
 def q1_pricing_summary(sf_dir: str):
     """Pricing summary (A6-style rollup with batch-level pre-aggregation):
     per (l_returnflag, l_linestatus) over shipdate <= 1998-09-02."""
-    from ray.data.aggregate import Sum, Count
-
     ds = _read(sf_dir, "lineitem",
                ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
                 "l_discount", "l_shipdate"])
@@ -61,16 +60,16 @@ def q1_pricing_summary(sf_dir: str):
             }
         )
 
-    agg = (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("qty", alias_name="sum_qty_i"),
-            Sum("ep_cents", alias_name="sum_base_i"),
-            Sum("disc_price", alias_name="sum_disc_i"),
-            Sum("disc_cents", alias_name="sum_discount_i"),
-            Count(alias_name="n_rows"),
-        )
+    agg = group_aggregate(
+        ds.map_batches(prep, batch_format="pyarrow"),
+        ["l_returnflag", "l_linestatus"],
+        {
+            "sum_qty_i": ("sum", "qty"),
+            "sum_base_i": ("sum", "ep_cents"),
+            "sum_disc_i": ("sum", "disc_price"),
+            "sum_discount_i": ("sum", "disc_cents"),
+            "n_rows": ("count", None),
+        },
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -112,7 +111,6 @@ def q6_revenue_filter(sf_dir: str):
     superset of the per-batch mask, which stays authoritative for the
     rounded-cents discount and quantity terms)."""
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
     lo = pa.scalar(pd.Timestamp("1995-01-01"), pa.timestamp("us"))
     hi = pa.scalar(pd.Timestamp("1996-01-01"), pa.timestamp("us"))
@@ -135,8 +133,7 @@ def q6_revenue_filter(sf_dir: str):
                           _cents(t2.column("l_discount")))
         return pa.table({"rev": rev})
 
-    agg = ds.map_batches(prep, batch_format="pyarrow").aggregate(Sum("rev", alias_name="rev_i"))
-    revenue = (agg["rev_i"] or 0) / 10000.0
+    revenue = (ds.map_batches(prep, batch_format="pyarrow").sum("rev") or 0) / 10000.0
     return pd.DataFrame({"revenue": [revenue]})
 
 
@@ -191,10 +188,12 @@ WHERE o_orderstatus = 'O' AND o_orderdate >= TIMESTAMP '1995-01-01'
 # ------------------------------------------------------------------ joins (J5/J6)
 
 def join_revenue_by_nation(sf_dir: str):
-    """customer ⋈ orders ⋈ nation: broadcast the small dimension (nation),
-    hash-join the fact tables (SURVEY.md J5 semantics)."""
+    """customer ⋈ orders ⋈ nation: the small dimension (nation) is a
+    driver-side LUT, customer attaches by lookup_join (broadcast at
+    dimension size, bucket join past its gates; SURVEY.md J5 semantics)."""
     import ray
-    from ray.data.aggregate import Count, Sum
+
+    from ..stages.shuffle import lookup_join
 
     nation = {
         r["n_nationkey"]: r["n_name"]
@@ -211,9 +210,11 @@ def join_revenue_by_nation(sf_dir: str):
              "price_cents": _cents(t.column("o_totalprice"))}
         )
 
-    joined = orders.map_batches(prep_orders, batch_format="pyarrow").join(
-        cust, join_type="inner", num_partitions=8,
-        on=("o_custkey",), right_on=("c_custkey",),
+    # c_custkey is the customer primary key. Ray's Dataset.join would start
+    # hash-shuffle actors that never all get a CPU in a 1-CPU session
+    joined = lookup_join(
+        orders.map_batches(prep_orders, batch_format="pyarrow"), cust,
+        key="o_custkey", right_key="c_custkey", unique_right=True,
     )
 
     def add_nation(t: pa.Table) -> pa.Table:
@@ -229,10 +230,9 @@ def join_revenue_by_nation(sf_dir: str):
              "price_cents": t.column("price_cents")}
         )
 
-    agg = (
-        joined.map_batches(add_nation, batch_format="pyarrow")
-        .groupby("n_name")
-        .aggregate(Sum("price_cents", alias_name="cents"), Count(alias_name="n_orders"))
+    agg = group_aggregate(
+        joined.map_batches(add_nation, batch_format="pyarrow"), "n_name",
+        {"cents": ("sum", "price_cents"), "n_orders": ("count", None)},
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -261,6 +261,8 @@ GROUP BY n.n_name
 def provenance_distinct(sf_dir: str):
     """3-table join + DISTINCT projection (J6 reporting semantics):
     distinct (c_mktsegment, o_orderpriority) for open orders."""
+    from ..stages.shuffle import lookup_join
+
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderstatus", "o_orderpriority"])
 
@@ -269,15 +271,13 @@ def provenance_distinct(sf_dir: str):
             ["o_custkey", "o_orderpriority"]
         )
 
-    joined = orders.map_batches(f, batch_format="pyarrow").join(
-        cust, join_type="inner", num_partitions=8,
-        on=("o_custkey",), right_on=("c_custkey",),
+    joined = lookup_join(
+        orders.map_batches(f, batch_format="pyarrow"), cust,
+        key="o_custkey", right_key="c_custkey", unique_right=True,
     )
-    return (
-        joined.groupby(["c_mktsegment", "o_orderpriority"])
-        .count()
-        .select_columns(["c_mktsegment", "o_orderpriority"])
-    )
+    return group_aggregate(
+        joined, ["c_mktsegment", "o_orderpriority"], {"n": ("count", None)}
+    ).select_columns(["c_mktsegment", "o_orderpriority"])
 
 
 PROVENANCE_SQL = """
@@ -521,10 +521,7 @@ WHERE EXISTS (
 
 def count_by_status(sf_dir: str):
     ds = _read(sf_dir, "orders", ["o_orderstatus"])
-    out = ds.groupby("o_orderstatus").count()
-    return out.map_batches(
-        lambda t: t.rename_columns(["o_orderstatus", "n_orders"]), batch_format="pyarrow"
-    )
+    return group_aggregate(ds, "o_orderstatus", {"n_orders": ("count", None)})
 
 
 COUNT_BY_STATUS_SQL = """
@@ -534,7 +531,9 @@ SELECT o_orderstatus, count(*) AS n_orders FROM orders GROUP BY o_orderstatus
 
 def distinct_returnflags(sf_dir: str):
     ds = _read(sf_dir, "lineitem", ["l_returnflag"])
-    return ds.groupby("l_returnflag").count().select_columns(["l_returnflag"])
+    return group_aggregate(ds, "l_returnflag", {"n": ("count", None)}).select_columns(
+        ["l_returnflag"]
+    )
 
 
 DISTINCT_RETURNFLAG_SQL = "SELECT DISTINCT l_returnflag FROM lineitem"
@@ -545,8 +544,6 @@ DISTINCT_RETURNFLAG_SQL = "SELECT DISTINCT l_returnflag FROM lineitem"
 def events_hourly(sf_dir: str):
     """Tumbling-window grouped aggregate over the event stream table:
     per (event_type, hour): count + value sum (cents-exact)."""
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
 
     def prep(t: pa.Table) -> pa.Table:
@@ -559,10 +556,10 @@ def events_hourly(sf_dir: str):
             }
         )
 
-    agg = (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby(["event_type", "hour"])
-        .aggregate(Count(alias_name="n_events"), Sum("value_cents", alias_name="cents"))
+    agg = group_aggregate(
+        ds.map_batches(prep, batch_format="pyarrow"),
+        ["event_type", "hour"],
+        {"n_events": ("count", None), "cents": ("sum", "value_cents")},
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -821,8 +818,6 @@ def parts_size_bands(sf_dir: str):
     size against a broadcast interval table, then a per-band rollup.
     Interval side ships once via ray.put; every batch resolves its band
     with a vectorized searchsorted — no shuffle for the join itself."""
-    from ray.data.aggregate import Count, Sum
-
     from ..stages.windows import range_join
 
     parts = _read(sf_dir, "part", ["p_size", "p_retailprice"])
@@ -839,11 +834,9 @@ def parts_size_bands(sf_dir: str):
             {"band": t.column("band"), "cents": _cents(t.column("p_retailprice"))}
         )
 
-    agg = (
-        range_join(parts, bands, on="p_size")
-        .map_batches(prep, batch_format="pyarrow")
-        .groupby("band")
-        .aggregate(Count(alias_name="n_parts"), Sum("cents", alias_name="c"))
+    agg = group_aggregate(
+        range_join(parts, bands, on="p_size").map_batches(prep, batch_format="pyarrow"),
+        "band", {"n_parts": ("count", None), "c": ("sum", "cents")},
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -1123,8 +1116,6 @@ def q3_shipping_priority(sf_dir: str):
     is PRE-AGGREGATED per (batch, orderkey) before the order join, so the
     fact-fact exchange carries partial sums, not raw items; the final
     groupby runs over order-grain rows."""
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import bucket_hash_join, lookup_join
 
     cutoff = pa.scalar(pd.Timestamp("1997-06-01"), pa.timestamp("us"))
@@ -1170,8 +1161,8 @@ def q3_shipping_priority(sf_dir: str):
         key="l_orderkey", right_key="o_orderkey", how="inner",
     )
     top = (
-        joined.groupby(["l_orderkey", "o_orderdate", "o_orderpriority"])
-        .aggregate(Sum("rev_units", alias_name="rev_units"))
+        group_aggregate(joined, ["l_orderkey", "o_orderdate", "o_orderpriority"],
+                        {"rev_units": ("sum", "rev_units")})
         .sort(["rev_units", "l_orderkey"], descending=[True, False])
         .limit(10)
     )
@@ -1266,8 +1257,6 @@ def q17_small_quantity_revenue(sf_dir: str):
     per-row re-scan. The predicate is evaluated in integer arithmetic
     (5*qty*cnt < sum_qty ⟺ qty < 0.2*avg) so boundary membership is
     bit-exact in both engines."""
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import bucket_group_apply, lookup_join
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"])
@@ -1320,28 +1309,10 @@ def q17_small_quantity_revenue(sf_dir: str):
         key="l_partkey", right_key="p_partkey",
     )
 
-    def brand_partial(t: pa.Table) -> pa.Table:
-        # per-batch combine to brand grain (~25 rows) so the final groupby
-        # exchanges partials, never the joined fact
-        tt = pa.table(
-            {
-                "p_brand": t.column("p_brand"),
-                "price_cents": t.column("price_cents"),
-                "one": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-            }
-        )
-        agg = tt.group_by("p_brand").aggregate(
-            [("price_cents", "sum"), ("one", "sum")]
-        )
-        return agg.rename_columns(["p_brand", "price_cents", "n_small"])
-
-    agg = (
-        jb.map_batches(brand_partial, batch_format="pyarrow")
-        .groupby("p_brand")
-        .aggregate(
-            Sum("price_cents", alias_name="price_cents"),
-            Sum("n_small", alias_name="n_small"),
-        )
+    # group_aggregate combines each batch to brand grain (~25 rows), so the
+    # exchange carries partials, never the joined fact
+    agg = group_aggregate(
+        jb, "p_brand", {"price_cents": ("sum", "price_cents"), "n_small": ("count", None)}
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -1381,8 +1352,6 @@ def suppliers_per_region(sf_dir: str):
     right sides are dimension-sized, so both ride lookup_join's broadcast
     path with zero shuffles) + a cents-exact per-region rollup. Also the
     coverage query for the two smallest catalog tables."""
-    from ray.data.aggregate import Count, Sum
-
     from ..stages.shuffle import lookup_join
 
     sup = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey", "s_acctbal"])
@@ -1402,8 +1371,8 @@ def suppliers_per_region(sf_dir: str):
         key="s_nationkey", right_key="n_nationkey",
     )
     j2 = lookup_join(j1, reg, key="n_regionkey", right_key="r_regionkey")
-    agg = j2.groupby("r_name").aggregate(
-        Count(alias_name="n_suppliers"), Sum("bal_cents", alias_name="bal_cents")
+    agg = group_aggregate(
+        j2, "r_name", {"n_suppliers": ("count", None), "bal_cents": ("sum", "bal_cents")}
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -1677,13 +1646,9 @@ def cust_orders_outer(sf_dir: str):
     def open_only(t: pa.Table) -> pa.Table:
         return t.filter(pc.equal(t.column("o_orderstatus"), "O")).select(["o_custkey"])
 
-    n_open = (
-        orders.map_batches(open_only, batch_format="pyarrow")
-        .groupby("o_custkey")
-        .count()
-        .map_batches(
-            lambda t: t.rename_columns(["o_custkey", "n_open"]), batch_format="pyarrow"
-        )
+    n_open = group_aggregate(
+        orders.map_batches(open_only, batch_format="pyarrow"), "o_custkey",
+        {"n_open": ("count", None)},
     )
     return bucket_hash_join(
         cust.map_batches(rich, batch_format="pyarrow"),
@@ -1707,13 +1672,16 @@ ON c.c_custkey = o.o_custkey
 
 # ------------------------------------------------------------ rollup lattice
 
+# a coarser grouping set from the fine (type, day) aggregate
+_SUMS = {"n_events": ("sum", "n_events"), "cents": ("sum", "cents")}
+
+
 def events_rollup(sf_dir: str):
     """GROUP BY ROLLUP(event_type, day): fine counts + per-type subtotals +
     grand total, with each COARSER level derived from the already-tiny
     finer aggregate (types x days rows) — the corpus is scanned exactly
     once; the rolled-up dimensions are NULL exactly as SQL emits them."""
     import ray.data as rd
-    from ray.data.aggregate import Count, Sum
 
     ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
 
@@ -1728,15 +1696,11 @@ def events_rollup(sf_dir: str):
 
     # the ONE corpus-wide aggregate; materialized because three consumers
     # derive from it and it is dimension-sized (types x days)
-    fine = (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby(["event_type", "day"])
-        .aggregate(Count(alias_name="n_events"), Sum("cents", alias_name="cents"))
-        .materialize()
-    )
-    sub = fine.groupby("event_type").aggregate(
-        Sum("n_events", alias_name="n_events"), Sum("cents", alias_name="cents")
-    )
+    fine = group_aggregate(
+        ds.map_batches(prep, batch_format="pyarrow"), ["event_type", "day"],
+        {"n_events": ("count", None), "cents": ("sum", "cents")},
+    ).materialize()
+    sub = group_aggregate(fine, "event_type", _SUMS).materialize()
 
     out_schema = pa.schema(
         [
@@ -1764,7 +1728,7 @@ def events_rollup(sf_dir: str):
         lambda t: shape(t, null_day=True), batch_format="pyarrow"
     )
     # grand total: a scalar fold of the tiny per-type table
-    tot = sub.aggregate(Sum("n_events"), Sum("cents"))
+    tot = sub.sum(["n_events", "cents"])
     total_tbl = pa.table(
         {
             "event_type": pa.nulls(1, pa.string()),
@@ -1792,7 +1756,6 @@ def events_cube(sf_dir: str):
     every coarser grouping set is derived from that dimension-sized
     result, so adding grouping sets costs no extra corpus passes."""
     import ray.data as rd
-    from ray.data.aggregate import Count, Sum
 
     ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
 
@@ -1805,18 +1768,12 @@ def events_cube(sf_dir: str):
             }
         )
 
-    fine = (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby(["event_type", "day"])
-        .aggregate(Count(alias_name="n_events"), Sum("cents", alias_name="cents"))
-        .materialize()
-    )
-    by_type = fine.groupby("event_type").aggregate(
-        Sum("n_events", alias_name="n_events"), Sum("cents", alias_name="cents")
-    )
-    by_day = fine.groupby("day").aggregate(
-        Sum("n_events", alias_name="n_events"), Sum("cents", alias_name="cents")
-    )
+    fine = group_aggregate(
+        ds.map_batches(prep, batch_format="pyarrow"), ["event_type", "day"],
+        {"n_events": ("count", None), "cents": ("sum", "cents")},
+    ).materialize()
+    by_type = group_aggregate(fine, "event_type", _SUMS).materialize()
+    by_day = group_aggregate(fine, "day", _SUMS)
 
     out_schema = pa.schema(
         [
@@ -1846,7 +1803,7 @@ def events_cube(sf_dir: str):
     level_day = by_day.map_batches(
         lambda t: shape(t, null_type=True), batch_format="pyarrow"
     )
-    tot = by_type.aggregate(Sum("n_events"), Sum("cents"))
+    tot = by_type.sum(["n_events", "cents"])
     total_tbl = pa.table(
         {
             "event_type": pa.nulls(1, pa.string()),
@@ -1876,33 +1833,17 @@ def lineitem_qty_moments(sf_dir: str):
     statistics stay exact in int64 and the final float expression
     (n·Σq² − (Σq)²) / n² is written identically in the SQL — bit-exact
     parity without relying on either engine's streaming-variance kernel."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_quantity"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def moments(t: pa.Table) -> pa.Table:
         q = pc.cast(pc.round(t.column("l_quantity")), pa.int64())
-        tt = pa.table(
-            {
-                "l_returnflag": t.column("l_returnflag"),
-                "n": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-                "sq": q,
-                "sq2": pc.multiply(q, q),
-            }
+        return pa.table(
+            {"l_returnflag": t.column("l_returnflag"), "q": q, "q2": pc.multiply(q, q)}
         )
-        agg = tt.group_by("l_returnflag").aggregate(
-            [("n", "sum"), ("sq", "sum"), ("sq2", "sum")]
-        )
-        return agg.rename_columns(["l_returnflag", "n", "sq", "sq2"])
 
-    sums = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("l_returnflag")
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("sq", alias_name="sq"),
-            Sum("sq2", alias_name="sq2"),
-        )
+    sums = group_aggregate(
+        ds.map_batches(moments, batch_format="pyarrow"), "l_returnflag",
+        {"n": ("count", None), "sq": ("sum", "q"), "sq2": ("sum", "q2")},
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -2077,26 +2018,15 @@ def orders_left_bigitem_counts(sf_dir: str):
     pre-aggregated to order grain before the join — the exchange carries
     one count row per order, never raw lineitems — and unmatched lefts
     surface as nulls coalesced to 0."""
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import bucket_hash_join
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.greater(t.column("l_extendedprice"), 50000.0))
-        agg = t.group_by("l_orderkey").aggregate([([], "count_all")])
-        return pa.table(
-            {
-                "l_orderkey": agg.column("l_orderkey"),
-                "n_big": pc.cast(agg.column("count_all"), pa.int64()),
-            }
-        )
+    def big(t: pa.Table) -> pa.Table:
+        return t.filter(pc.greater(t.column("l_extendedprice"), 50000.0))
 
-    counts = (
-        li.map_batches(partial, batch_format="pyarrow", batch_size=131072)
-        .groupby("l_orderkey")
-        .aggregate(Sum("n_big", alias_name="n_big"))
+    counts = group_aggregate(
+        li.map_batches(big, batch_format="pyarrow"), "l_orderkey", {"n_big": ("count", None)}
     )
 
     orders = _read(sf_dir, "orders", ["o_orderkey"])
@@ -2250,10 +2180,8 @@ def events_pivot_types(sf_dir: str):
     """PIVOT / conditional aggregation: one row per user with a count
     column per event type + total — the wide per-entity feature shape a
     training pipeline feeds downstream. Indicator columns are built
-    vectorized per batch; Ray's groupby pre-combines per block, so the
+    vectorized per batch; group_aggregate pre-combines per block, so the
     shuffle carries one partial row per (user, block), never raw events."""
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
     def indicators(t: pa.Table) -> pa.Table:
@@ -2262,13 +2190,9 @@ def events_pivot_types(sf_dir: str):
             cols[f"n_{ty}"] = pc.cast(pc.equal(t.column("event_type"), ty), pa.int64())
         return pa.table(cols)
 
-    aggs = [Sum(f"n_{ty}", alias_name=f"n_{ty}") for ty in PIVOT_EVENT_TYPES]
-    aggs.append(Count(alias_name="n_total"))
-    return (
-        ds.map_batches(indicators, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(*aggs)
-    )
+    aggs = {f"n_{ty}": ("sum", f"n_{ty}") for ty in PIVOT_EVENT_TYPES}
+    aggs["n_total"] = ("count", None)
+    return group_aggregate(ds.map_batches(indicators, batch_format="pyarrow"), "user_id", aggs)
 
 
 EVENTS_PIVOT_SQL = """
@@ -2344,7 +2268,6 @@ def events_value_outliers(sf_dir: str):
          candidates with Python bignums (exact), so no int64 overflow and
          no O(rows) bignum work."""
     from ..stages.shuffle import lookup_join
-    from ray.data.aggregate import Count, Sum
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "value"])
 
@@ -2362,8 +2285,8 @@ def events_value_outliers(sf_dir: str):
         )
 
     cents = ds.map_batches(to_cents, batch_format="pyarrow")
-    stats = cents.groupby("user_id").aggregate(
-        Count(alias_name="n"), Sum("v", alias_name="s"), Sum("v2", alias_name="q")
+    stats = group_aggregate(
+        cents, "user_id", {"n": ("count", None), "s": ("sum", "v"), "q": ("sum", "v2")}
     )
     joined = lookup_join(cents, stats, key="user_id", n_buckets=8)
 

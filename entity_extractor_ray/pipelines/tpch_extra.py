@@ -22,8 +22,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.arrowutil import rename_agg
 from ..sources.cleanscan import read_parquet_clean as _rpc
+from ..stages.shuffle import group_aggregate
 # ONE _cents implementation engine-wide: its rounding mode must stay
 # bit-identical to the SQL oracles' round() (review finding: a third copy
 # here could silently drift from analytics/relational on a future fix)
@@ -51,8 +51,6 @@ def q4_order_priority(sf_dir: str):
     bucket exchange past the gate), the correlated predicate filters
     map-side, and EXISTS = per-batch pair dedup -> one order-cardinality
     groupby. Priority strings ride as int codes through the shuffles."""
-    from ray.data.aggregate import Count, Max
-
     lo = pa.scalar(np.datetime64("1996-01-01", "us"), pa.timestamp("us"))
     hi = pa.scalar(np.datetime64("1996-04-01", "us"), pa.timestamp("us"))
     orders = _rpc(
@@ -88,19 +86,13 @@ def q4_order_priority(sf_dir: str):
 
     def late_pairs(t: pa.Table) -> pa.Table:
         t = t.filter(pc.greater(t.column("l_shipdate"), t.column("o_orderdate")))
-        t = t.select(["l_orderkey", "pri"])
-        # per-batch dedup: the exchange carries at most one row per order
-        return rename_agg(
-            pa.TableGroupBy(t, "l_orderkey").aggregate([("pri", "max")]),
-            {"l_orderkey": "l_orderkey", "pri_max": "pri"},
-        )
+        return t.select(["l_orderkey", "pri"])
 
-    per_order = (
-        joined.map_batches(late_pairs, batch_format="pyarrow")
-        .groupby("l_orderkey")
-        .aggregate(Max("pri", alias_name="pri"))
+    per_order = group_aggregate(
+        joined.map_batches(late_pairs, batch_format="pyarrow"), "l_orderkey",
+        {"pri": ("max", "pri")},
     )
-    counts = per_order.groupby("pri").aggregate(Count(alias_name="order_count"))
+    counts = group_aggregate(per_order, "pri", {"order_count": ("count", None)})
 
     names = np.array(pris, dtype=object)
 
@@ -142,8 +134,6 @@ def q8_market_share(sf_dir: str, target_nation: str = "NATION_7",
     any exchange. Numerator/denominator stay integer cents until the final
     float division, written identically in the oracle."""
     import ray
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import lookup_join
 
     nat = {
@@ -251,10 +241,9 @@ def q8_market_share(sf_dir: str, target_nation: str = "NATION_7",
             }
         )
 
-    agg = (
-        joined.map_batches(split_rev, batch_format="pyarrow")
-        .groupby("o_year")
-        .aggregate(Sum("rev", alias_name="rev"), Sum("rev_t", alias_name="rev_t"))
+    agg = group_aggregate(
+        joined.map_batches(split_rev, batch_format="pyarrow"), "o_year",
+        {"rev": ("sum", "rev"), "rev_t": ("sum", "rev_t")},
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -300,8 +289,6 @@ def q9_product_profit(sf_dir: str, name_token: str = "gear"):
     orders attaches via lookup_join — broadcast while under the gates,
     bucket exchange past them (Q9 has no order-side filter, the one
     genuinely fact-fact edge in this family)."""
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import lookup_join
 
     nat = {
@@ -378,10 +365,9 @@ def q9_product_profit(sf_dir: str, name_token: str = "gear"):
             }
         )
 
-    agg = (
-        joined.map_batches(key_prep, batch_format="pyarrow")
-        .groupby(["n_name", "o_year"])
-        .aggregate(Sum("profit", alias_name="profit_c"))
+    agg = group_aggregate(
+        joined.map_batches(key_prep, batch_format="pyarrow"), ["n_name", "o_year"],
+        {"profit_c": ("sum", "profit")},
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -426,26 +412,18 @@ def q11_important_parts(sf_dir: str):
     integer arithmetic: 5·n_parts·cents > 6·total_cents. Plan: per-batch
     partial sums → one part-keyed groupby → total and count are a second
     tiny aggregate over the group sums (driver sees TWO scalars)."""
-    from ray.data.aggregate import Sum
-
     items = _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"])
 
     def l_prep(t: pa.Table) -> pa.Table:
         ext = _cents(t.column("l_extendedprice"))
         disc = _cents(t.column("l_discount"))
         rev = pc.multiply(ext, pc.subtract(pa.scalar(100, pa.int64()), disc))
-        part = pa.table({"l_partkey": t.column("l_partkey"), "rev": rev})
-        return rename_agg(
-            pa.TableGroupBy(part, "l_partkey").aggregate([("rev", "sum")]),
-            {"l_partkey": "l_partkey", "rev_sum": "rev"},
-        )
+        return pa.table({"l_partkey": t.column("l_partkey"), "rev": rev})
 
-    per_part = (
-        items.map_batches(l_prep, batch_format="pyarrow")
-        .groupby("l_partkey")
-        .aggregate(Sum("rev", alias_name="cents"))
-        .materialize()  # part-cardinality; reused by the sum AND the filter
-    )
+    per_part = group_aggregate(
+        items.map_batches(l_prep, batch_format="pyarrow"), "l_partkey",
+        {"cents": ("sum", "rev")},
+    ).materialize()  # part-cardinality; reused by the sum AND the filter
     total = per_part.sum("cents")
     n_parts = per_part.count()
     if not n_parts:  # empty lineitem: mirror the oracle's empty result
@@ -491,8 +469,6 @@ def q15_top_supplier(sf_dir: str):
     filtered to its own maximum (ties all kept, as in the spec). The max is
     ONE driver scalar off the supplier-cardinality aggregate; s_name
     attaches to the (usually single-row) winner set by broadcast."""
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import lookup_join
 
     lo = pa.scalar(np.datetime64("1996-01-01", "us"), pa.timestamp("us"))
@@ -512,18 +488,12 @@ def q15_top_supplier(sf_dir: str):
         ext = _cents(t.column("l_extendedprice"))
         disc = _cents(t.column("l_discount"))
         rev = pc.multiply(ext, pc.subtract(pa.scalar(100, pa.int64()), disc))
-        part = pa.table({"l_suppkey": t.column("l_suppkey"), "rev": rev})
-        return rename_agg(
-            pa.TableGroupBy(part, "l_suppkey").aggregate([("rev", "sum")]),
-            {"l_suppkey": "l_suppkey", "rev_sum": "rev"},
-        )
+        return pa.table({"l_suppkey": t.column("l_suppkey"), "rev": rev})
 
-    per_supp = (
-        items.map_batches(l_prep, batch_format="pyarrow")
-        .groupby("l_suppkey")
-        .aggregate(Sum("rev", alias_name="cents"))
-        .materialize()  # supplier-cardinality; reused by max AND filter
-    )
+    per_supp = group_aggregate(
+        items.map_batches(l_prep, batch_format="pyarrow"), "l_suppkey",
+        {"cents": ("sum", "rev")},
+    ).materialize()  # supplier-cardinality; reused by max AND filter
     best = per_supp.max("cents")
     if best is None:  # no lineitem in the window: oracle returns 0 rows
         import ray.data as rd
@@ -578,8 +548,6 @@ def q16_supplier_counts(sf_dir: str):
     semi-join; per-batch (class, suppkey) dedup bounds the exchange; the
     count-distinct is groupby(class ∪ suppkey) → groupby(class) Count —
     two keyed shuffles on deduped pairs, never on raw lineitem."""
-    from ray.data.aggregate import Count
-
     from ..stages.shuffle import lookup_join
 
     sizes = [1, 5, 9, 14, 23, 36, 45, 49]
@@ -604,8 +572,8 @@ def q16_supplier_counts(sf_dir: str):
         key="l_partkey", right_key="p_partkey",
     )
 
-    def dedup_pairs(t: pa.Table) -> pa.Table:
-        t = pa.table(
+    def class_pairs(t: pa.Table) -> pa.Table:
+        return pa.table(
             {
                 "p_brand": t.column("p_brand"),
                 "p_type": t.column("p_type"),
@@ -613,20 +581,15 @@ def q16_supplier_counts(sf_dir: str):
                 "l_suppkey": pc.cast(t.column("l_suppkey"), pa.int64()),
             }
         )
-        return pa.TableGroupBy(
-            t, ["p_brand", "p_type", "p_size", "l_suppkey"]
-        ).aggregate([]).select(["p_brand", "p_type", "p_size", "l_suppkey"])
 
-    distinct = (
-        joined.map_batches(dedup_pairs, batch_format="pyarrow")
-        .groupby(["p_brand", "p_type", "p_size", "l_suppkey"])
-        .aggregate(Count(alias_name="_n"))
+    distinct = group_aggregate(
+        joined.map_batches(class_pairs, batch_format="pyarrow"),
+        ["p_brand", "p_type", "p_size", "l_suppkey"], {"_n": ("count", None)},
         # drop the count payload so only the 4 key columns ride the second
         # keyed exchange (the count's only job was forcing the dedup)
-        .select_columns(["p_brand", "p_type", "p_size", "l_suppkey"])
-    )
-    counts = distinct.groupby(["p_brand", "p_type", "p_size"]).aggregate(
-        Count(alias_name="supplier_cnt")
+    ).select_columns(["p_brand", "p_type", "p_size", "l_suppkey"])
+    counts = group_aggregate(
+        distinct, ["p_brand", "p_type", "p_size"], {"supplier_cnt": ("count", None)}
     )
     return counts.map_batches(
         lambda t: t.set_column(
@@ -659,8 +622,6 @@ def q20_heavy_suppliers(sf_dir: str, qty_floor: int = 150):
     broadcasts into the date-pruned lineitem scan; per-batch partial sums →
     one supplier-keyed groupby; the HAVING filters the supplier-cardinality
     aggregate; names attach by broadcast."""
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import lookup_join
 
     lo = pa.scalar(np.datetime64("1996-01-01", "us"), pa.timestamp("us"))
@@ -696,18 +657,7 @@ def q20_heavy_suppliers(sf_dir: str, qty_floor: int = 150):
         part, key="l_partkey", right_key="p_partkey",
     )
 
-    def partial(t: pa.Table) -> pa.Table:
-        t = t.select(["l_suppkey", "qty"])
-        return rename_agg(
-            pa.TableGroupBy(t, "l_suppkey").aggregate([("qty", "sum")]),
-            {"l_suppkey": "l_suppkey", "qty_sum": "qty"},
-        )
-
-    per_supp = (
-        joined.map_batches(partial, batch_format="pyarrow")
-        .groupby("l_suppkey")
-        .aggregate(Sum("qty", alias_name="total_qty"))
-    )
+    per_supp = group_aggregate(joined, "l_suppkey", {"total_qty": ("sum", "qty")})
     heavy = per_supp.map_batches(
         lambda t: t.filter(
             pc.greater(t.column("total_qty"), pa.scalar(qty_floor, pa.int64()))
@@ -755,33 +705,25 @@ def q21_waiting_suppliers(sf_dir: str):
     order-cardinality (per-order stats via groupby, attach via lookup_join
     — broadcast here, bucket exchange past the gate); the final census is
     supplier-sized."""
-    from ray.data.aggregate import Count, Max, Min
-
     from ..stages.shuffle import lookup_join
 
     items = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_shipdate"])
 
-    def pair_max(t: pa.Table) -> pa.Table:
-        t = pa.table(
+    def pair_ship(t: pa.Table) -> pa.Table:
+        return pa.table(
             {
                 "ok": pc.cast(t.column("l_orderkey"), pa.int64()),
                 "sk": pc.cast(t.column("l_suppkey"), pa.int64()),
                 "ship": pc.cast(t.column("l_shipdate"), pa.int64()),
             }
         )
-        return rename_agg(
-            pa.TableGroupBy(t, ["ok", "sk"]).aggregate([("ship", "max")]),
-            {"ok": "ok", "sk": "sk", "ship_max": "ship"},
-        )
 
-    pairs = (
-        items.map_batches(pair_max, batch_format="pyarrow")
-        .groupby(["ok", "sk"])
-        .aggregate(Max("ship", alias_name="ship"))
-        .materialize()  # reused for per-order stats AND the argmax filter
-    )
-    per_order = pairs.groupby("ok").aggregate(
-        Max("ship", alias_name="max_ship"), Count(alias_name="n_supp")
+    pairs = group_aggregate(
+        items.map_batches(pair_ship, batch_format="pyarrow"), ["ok", "sk"],
+        {"ship": ("max", "ship")},
+    ).materialize()  # reused for per-order stats AND the argmax filter
+    per_order = group_aggregate(
+        pairs, "ok", {"max_ship": ("max", "ship"), "n_supp": ("count", None)}
     )
     joined = lookup_join(pairs, per_order, key="ok", right_key="ok")
 
@@ -793,19 +735,15 @@ def q21_waiting_suppliers(sf_dir: str):
         return t.filter(keep).select(["ok", "sk"])
 
     late = joined.map_batches(at_max, batch_format="pyarrow")
-    uniq = late.groupby("ok").aggregate(
-        Count(alias_name="n_at_max"), Min("sk", alias_name="sk")
-    )
+    uniq = group_aggregate(late, "ok", {"n_at_max": ("count", None), "sk": ("min", "sk")})
 
     def sole(t: pa.Table) -> pa.Table:
         return t.filter(
             pc.equal(t.column("n_at_max"), pa.scalar(1, pa.int64()))
         ).select(["sk"])
 
-    counts = (
-        uniq.map_batches(sole, batch_format="pyarrow")
-        .groupby("sk")
-        .aggregate(Count(alias_name="numwait"))
+    counts = group_aggregate(
+        uniq.map_batches(sole, batch_format="pyarrow"), "sk", {"numwait": ("count", None)}
     )
     supp = _read(sf_dir, "supplier", ["s_suppkey", "s_name"])
     named = lookup_join(counts, supp, key="sk", right_key="s_suppkey")
@@ -1067,8 +1005,6 @@ def q12_line_priority(sf_dir: str):
     correlated predicate and the priority split are one vectorized
     map-side pass emitting int partials, and the final groupby touches a
     2-row domain."""
-    from ray.data.aggregate import Sum
-
     from ..stages.shuffle import lookup_join
 
     lo = pa.scalar(np.datetime64("1996-01-01", "us"), pa.timestamp("us"))
@@ -1112,33 +1048,21 @@ def q12_line_priority(sf_dir: str):
         key="l_orderkey", right_key="o_orderkey", unique_right=True,
     )
 
-    def partial(t: pa.Table) -> pa.Table:
+    def late_lines(t: pa.Table) -> pa.Table:
         t = t.filter(pc.greater(t.column("l_shipdate"), t.column("o_orderdate")))
         hi_c = t.column("is_high")
         lo_c = pc.subtract(pa.scalar(1, pa.int64()), hi_c)
-        pairs = pa.table(
+        return pa.table(
             {
                 "l_linestatus": t.column("l_linestatus"),
                 "high": hi_c,
                 "low": lo_c,
             }
         )
-        agg = pa.TableGroupBy(pairs, "l_linestatus").aggregate(
-            [("high", "sum"), ("low", "sum")]
-        )
-        return rename_agg(
-            agg,
-            {"l_linestatus": "l_linestatus", "high_sum": "high",
-             "low_sum": "low"},
-        )
 
-    counts = (
-        joined.map_batches(partial, batch_format="pyarrow")
-        .groupby("l_linestatus")
-        .aggregate(
-            Sum("high", alias_name="high_line_count"),
-            Sum("low", alias_name="low_line_count"),
-        )
+    counts = group_aggregate(
+        joined.map_batches(late_lines, batch_format="pyarrow"), "l_linestatus",
+        {"high_line_count": ("sum", "high"), "low_line_count": ("sum", "low")},
     )
 
     def finalize(t: pa.Table) -> pa.Table:

@@ -26,6 +26,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions import textnorm
+from .shuffle import group_aggregate
 from .similarity import list_column_to_matrix as _list_matrix
 
 logger = logging.getLogger("entity_extractor_ray.dedup")
@@ -35,12 +36,10 @@ logger = logging.getLogger("entity_extractor_ray.dedup")
 def exact_dedup(docs_ds):
     """One surviving doc per distinct text: (fingerprint, doc_id=min).
     Reduction is a groupby over md5 keys — skew-free, fully parallel."""
-    from ray.data.aggregate import Min
-
     from .textstats import exact_fingerprints
 
     fp = docs_ds.map_batches(exact_fingerprints, batch_format="pandas")
-    return fp.groupby("fingerprint").aggregate(Min("doc_id", alias_name="doc_id"))
+    return group_aggregate(fp, "fingerprint", {"doc_id": ("min", "doc_id")})
 
 
 def exact_dedup_sql() -> str:
@@ -275,8 +274,6 @@ def propagate_min_labels(pairs_ds, n_buckets: int = 32, max_rounds: int = 50):
     shallow); labels materialize per round and stay O(#nodes-in-pairs) —
     never O(corpus)."""
     import ray.data as rd
-    from ray.data.aggregate import Sum
-
     from .shuffle import bucket_group_apply, lookup_join
 
     def both_dirs(t: pa.Table) -> pa.Table:
@@ -333,7 +330,7 @@ def propagate_min_labels(pairs_ds, n_buckets: int = 32, max_rounds: int = 50):
 
     converged = False
     for _ in range(max_rounds):
-        changed = labels.aggregate(Sum("changed", alias_name="n"))["n"]
+        changed = labels.sum("changed")
         if not changed:
             converged = True
             break
@@ -362,7 +359,7 @@ def propagate_min_labels(pairs_ds, n_buckets: int = 32, max_rounds: int = 50):
         # a component whose diameter exceeds max_rounds would otherwise ship
         # PARTIALLY-propagated labels — one true component silently split
         # into inconsistent clusters. Fail loud instead.
-        still = labels.aggregate(Sum("changed", alias_name="n"))["n"]
+        still = labels.sum("changed")
         if still:
             raise RuntimeError(
                 f"propagate_min_labels did not converge after {max_rounds} "
@@ -974,9 +971,8 @@ def simhash_near_pairs(docs_ds, hamming_max: int = HAMMING_MAX, concurrency: int
         )
 
     pairs = bucket_group_apply(rows, ["band_id", "band_value"], bucket_pairs, n_buckets)
-    from ray.data.aggregate import Min
 
-    return pairs.groupby(["id_a", "id_b"]).aggregate(Min("hamming", alias_name="hamming"))
+    return group_aggregate(pairs, ["id_a", "id_b"], {"hamming": ("min", "hamming")})
 
 
 # ------------------------------------------------------------------ embeddings
@@ -1163,8 +1159,6 @@ def embedding_lsh_pairs(embeddings_ds, threshold: float = 0.9, seed: int = 11,
     truncation count. Exact cosine is verified in-bucket only; duplicate
     pair hits across bands fold in one final groupby."""
     import ray
-    from ray.data.aggregate import Min
-
     from .shuffle import bucket_group_apply
 
     auto_bands, auto_bits = lsh_plan(threshold)
@@ -1221,7 +1215,7 @@ def embedding_lsh_pairs(embeddings_ds, threshold: float = 0.9, seed: int = 11,
     pairs = bucket_group_apply(bucketed, ["band_id", "band_key"], band_bucket_pairs, n_buckets)
     # a pair found in several bands reports the same rounded cosine; Min is a
     # deterministic dedup fold
-    return pairs.groupby(["id_a", "id_b"]).aggregate(Min("cos_sim", alias_name="cos_sim"))
+    return group_aggregate(pairs, ["id_a", "id_b"], {"cos_sim": ("min", "cos_sim")})
 
 
 # ----------------------------------------- tf-idf cosine all-pairs (APSS)
@@ -1638,10 +1632,8 @@ def dedup_reweight(docs_ds, **kwargs):
     (cluster ids are model output), planted-size pins in tests."""
     import pyarrow.compute as pc
 
-    from ray.data.aggregate import Count
-
     clusters = minhash_dedup(docs_ds, **kwargs)
-    w = clusters.groupby("cluster_id").aggregate(Count(alias_name="weight"))
+    w = group_aggregate(clusters, "cluster_id", {"weight": ("count", None)})
 
     def fin(t: pa.Table) -> pa.Table:
         return pa.table(

@@ -39,7 +39,7 @@ from ..functions.decision_tables import (
 from ..functions.arrowutil import bin_to_hex, hex_to_bin, rename_agg, try_hex_to_bin
 from ..functions.textnorm import stable_id
 from .linking import order_key_array
-from .shuffle import bucket_group_apply, stable_bucket_array
+from .shuffle import bucket_group_apply, group_aggregate, stable_bucket_array
 
 NODES_SCHEMA = pa.schema(
     [
@@ -851,13 +851,7 @@ def material_comentions(edges_ds, n_buckets: int = 32,
         )
 
     pairs = bucket_group_apply(slim, ["dst"], pairs_bucket, n_buckets)
-    counted = pairs.groupby(["mat_a", "mat_b"]).count()
-    return counted.map_batches(
-        lambda t: rename_agg(
-            t, {"mat_a": "mat_a", "mat_b": "mat_b", "count()": "n_shared"}
-        ),
-        batch_format="pyarrow",
-    )
+    return group_aggregate(pairs, ["mat_a", "mat_b"], {"n_shared": ("count", None)})
 
 
 # ------------------------------------------------------------------ pagerank
@@ -883,8 +877,6 @@ def pagerank(edges_ds, damping: float = 0.85, n_iters: int = 5,
     scale the same src-partitioning is reused across iterations. Returns
     (node, rank) with rank rounded to 9 dp for engine-independent output.
     """
-    from ray.data.aggregate import Sum
-
     from .shuffle import lookup_join
 
     slim = edges_ds.map_batches(
@@ -902,9 +894,8 @@ def pagerank(edges_ds, damping: float = 0.85, n_iters: int = 5,
         return pa.table({"node": both.unique()})
 
     nodes = (
-        slim.map_batches(batch_nodes, batch_format="pyarrow")
-        .groupby("node")
-        .count()
+        group_aggregate(slim.map_batches(batch_nodes, batch_format="pyarrow"), "node",
+                        {"n": ("count", None)})
         .select_columns(["node"])
         .materialize()
     )
@@ -916,21 +907,7 @@ def pagerank(edges_ds, damping: float = 0.85, n_iters: int = 5,
             batch_format="pyarrow",
         )
 
-    def batch_deg(t: pa.Table) -> pa.Table:
-        agg = t.group_by("src").aggregate([([], "count_all")])
-        return pa.table(
-            {
-                "src": agg.column("src"),
-                "out_deg": pc.cast(agg.column("count_all"), pa.int64()),
-            }
-        )
-
-    out_deg = (
-        slim.map_batches(batch_deg, batch_format="pyarrow")
-        .groupby("src")
-        .aggregate(Sum("out_deg", alias_name="out_deg"))
-        .materialize()
-    )
+    out_deg = group_aggregate(slim, "src", {"out_deg": ("count", None)}).materialize()
 
     base = (1.0 - damping) / n_nodes
     ranks = nodes.map_batches(
@@ -965,11 +942,8 @@ def pagerank(edges_ds, damping: float = 0.85, n_iters: int = 5,
             lambda t: pa.table({"dst": t.column("dst"), "c": t.column("rate")}),
             batch_format="pyarrow",
         )
-        inflow = (
-            contrib.groupby("dst").aggregate(Sum("c", alias_name="inflow"))
-            .materialize()
-        )
-        total_contrib = inflow.aggregate(Sum("inflow"))["sum(inflow)"] or 0.0
+        inflow = group_aggregate(contrib, "dst", {"inflow": ("sum", "c")}).materialize()
+        total_contrib = inflow.sum("inflow") or 0.0
         dangling = max(0.0, 1.0 - float(total_contrib)) / n_nodes
 
         joined = lookup_join(nodes, inflow, key="node", right_key="dst", how="left")
@@ -1041,12 +1015,10 @@ def triangle_count(pairs_ds, a_col: str = "mat_a", b_col: str = "mat_b",
             {"lo": pc.if_else(a_lt, a, b), "hi": pc.if_else(a_lt, b, a)}
         )
 
-    edges = (
-        pairs_ds.map_batches(canon, batch_format="pyarrow")
-        .groupby(["lo", "hi"])
-        .count()
-        .select_columns(["lo", "hi"])
-    )
+    edges = group_aggregate(
+        pairs_ds.map_batches(canon, batch_format="pyarrow"), ["lo", "hi"],
+        {"n": ("count", None)},
+    ).select_columns(["lo", "hi"])
 
     def endpoints(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -1060,19 +1032,18 @@ def triangle_count(pairs_ds, a_col: str = "mat_a", b_col: str = "mat_b",
             }
         )
 
-    degrees = (
-        edges.map_batches(endpoints, batch_format="pyarrow")
-        .groupby("node")
-        .count()
+    degrees = group_aggregate(
+        edges.map_batches(endpoints, batch_format="pyarrow"), "node",
+        {"deg": ("count", None)},
     )
     e1 = lookup_join(
         edges,
-        degrees.rename_columns({"node": "lo", "count()": "deg_lo"}),
+        degrees.rename_columns({"node": "lo", "deg": "deg_lo"}),
         key="lo", n_buckets=n_buckets,
     )
     e2 = lookup_join(
         e1,
-        degrees.rename_columns({"node": "hi", "count()": "deg_hi"}),
+        degrees.rename_columns({"node": "hi", "deg": "deg_hi"}),
         key="hi", n_buckets=n_buckets,
     )
 
@@ -1151,8 +1122,6 @@ def label_propagation(pairs_ds, a_col: str = "mat_a", b_col: str = "mat_b",
     materialize once per round at node-dimension size; the doubled edge
     list streams unchanged every round, so at scale its dst partitioning
     is reused across iterations. Returns (node, label)."""
-    from ray.data.aggregate import Sum
-
     from .shuffle import bucket_group_apply, lookup_join
 
     def doubled(t: pa.Table) -> pa.Table:
@@ -1172,10 +1141,8 @@ def label_propagation(pairs_ds, a_col: str = "mat_a", b_col: str = "mat_b",
         return pa.table({"node": agg.column("src")})
 
     labels = (
-        edges.map_batches(init_labels, batch_format="pyarrow")
-        .groupby("node")
-        .count()
-        .select_columns(["node"])
+        group_aggregate(edges.map_batches(init_labels, batch_format="pyarrow"), "node",
+                        {"n": ("count", None)})
         .map_batches(
             lambda t: pa.table({"node": t.column("node"), "label": t.column("node")}),
             batch_format="pyarrow",
@@ -1262,42 +1229,26 @@ def k_core(pairs_ds, k: int = 2, a_col: str = "mat_a", b_col: str = "mat_b",
         )
 
     edges = (
-        pairs_ds.map_batches(canon, batch_format="pyarrow")
-        .groupby(["lo", "hi"])
-        .count()
+        group_aggregate(pairs_ds.map_batches(canon, batch_format="pyarrow"), ["lo", "hi"],
+                        {"n": ("count", None)})
         .select_columns(["lo", "hi"])
         .materialize()
     )
 
     def endpoints(t: pa.Table) -> pa.Table:
-        # map-side partial degree: one int row per distinct endpoint per batch
-        both = pa.table(
+        return pa.table(
             {
                 "node": pa.concat_arrays(
-                    [
-                        t.column("lo").combine_chunks(),
-                        t.column("hi").combine_chunks(),
-                    ]
+                    [t.column("lo").combine_chunks(), t.column("hi").combine_chunks()]
                 )
             }
         )
-        agg = pa.TableGroupBy(both, "node").aggregate([([], "count_all")])
-        return pa.table(
-            {
-                "node": agg.column("node"),
-                "d": pc.cast(agg.column("count_all"), pa.int64()),
-            }
-        )
-
-    from ray.data.aggregate import Sum
 
     for _ in range(max_iters):
-        degrees = (
-            edges.map_batches(endpoints, batch_format="pyarrow")
-            .groupby("node")
-            .aggregate(Sum("d", alias_name="core_deg"))
-            .materialize()
-        )
+        degrees = group_aggregate(
+            edges.map_batches(endpoints, batch_format="pyarrow"), "node",
+            {"core_deg": ("count", None)},
+        ).materialize()
         n_nodes = degrees.count()
         live = degrees.filter(expr=f"core_deg >= {int(k)}")
         n_live = live.count()
@@ -1382,20 +1333,7 @@ def bfs_depths(edges_ds, seeds, max_depth: int = 4, n_buckets: int = 16,
         )
         # per-batch distinct above can still duplicate across batches: one
         # tiny groupby pins min depth (all candidates this round share d)
-        frontier = (
-            fresh.groupby("node")
-            .min("depth")
-            .map_batches(
-                lambda t: pa.table(
-                    {
-                        "node": t.column("node"),
-                        "depth": pc.cast(t.column("min(depth)"), pa.int64()),
-                    }
-                ),
-                batch_format="pyarrow",
-            )
-            .materialize()
-        )
+        frontier = group_aggregate(fresh, "node", {"depth": ("min", "depth")}).materialize()
         if frontier.count() == 0:
             break
         settled = settled.union(frontier).materialize()
@@ -1440,9 +1378,8 @@ def random_walks(edges_ds, walks_per_node: int = 2, walk_len: int = 4,
 
     # distinct adjacency, tagged for the union exchange (kind 0)
     adj = (
-        edges_ds.map_batches(slim, batch_format="pyarrow")
-        .groupby(["src", "dst"])
-        .count()
+        group_aggregate(edges_ds.map_batches(slim, batch_format="pyarrow"), ["src", "dst"],
+                        {"n": ("count", None)})
         .map_batches(
             lambda t: pa.table(
                 {
@@ -1464,10 +1401,9 @@ def random_walks(edges_ds, walks_per_node: int = 2, walk_len: int = 4,
         return agg
 
     start_nodes = (
-        adj.map_batches(starts_tbl, batch_format="pyarrow")
-        .groupby("node")
-        .count()
-        .map_batches(lambda t: t.select(["node"]), batch_format="pyarrow")
+        group_aggregate(adj.map_batches(starts_tbl, batch_format="pyarrow"), "node",
+                        {"n": ("count", None)})
+        .select_columns(["node"])
         .materialize()
     )
 

@@ -62,7 +62,7 @@ from ..functions.decision_tables import (
 )
 from ..functions.arrowutil import bin_to_hex, try_hex_to_bin
 from ..functions.textnorm import stable_id
-from .shuffle import bucket_group_apply, stable_bucket_array
+from .shuffle import bucket_group_apply, group_aggregate, stable_bucket_array
 
 MAPPING_SCHEMA = pa.schema(
     [
@@ -565,26 +565,15 @@ def build_chemical_mapping(chem_mentions_ds, n_buckets: int = 64,
     # by whichever path(s) run
     partial = partial.materialize()
 
-    # gate counts: per-batch value_counts (dimension-sized rows) summed in a
-    # TINY shuffle — never a groupby over the full key table
-    def _mfr_counts(t: pa.Table) -> pa.Table:
-        vc = pc.value_counts(t.column("manufacturer"))
-        return pa.table(
-            {
-                "manufacturer": pc.cast(vc.field("values"), pa.string()),
-                "n": pc.cast(vc.field("counts"), pa.int64()),
-            }
-        )
-
-    counts = (
-        partial.map_batches(_mfr_counts, batch_format="pyarrow")
-        .groupby("manufacturer")
-        .sum("n")
-    )
+    # no manufacturer holds more keys than the whole table, so a table of
+    # at most skew_threshold rows (block metadata: no task) nominates none
+    if partial.count() <= skew_threshold:
+        return bucket_group_apply(partial, ["manufacturer"], bucket_fn, n_buckets)
+    # gate counts: per-batch partials summed in a TINY shuffle — never a
+    # groupby over the full key table
+    counts = group_aggregate(partial, "manufacturer", {"n": ("count", None)})
     candidates = [
-        r["manufacturer"]
-        for r in counts.iter_rows()
-        if r["sum(n)"] > skew_threshold
+        r["manufacturer"] for r in counts.iter_rows() if r["n"] > skew_threshold
     ]
     if not candidates:
         return bucket_group_apply(partial, ["manufacturer"], bucket_fn, n_buckets)
@@ -1022,14 +1011,13 @@ def fold_chemical_states(linked_ds, n_buckets: int = 64):
     identical to fold_chemical_states_simple (pinned by
     tests/test_fold_associative.py and the e2e-exact oracle suite)."""
     slim = linked_ds.select_columns(["entity_id", "order_key", "tag", "source"])
-    # alphabet discovery: per-batch unique PARTIAL first, so the distinct
-    # exchange carries ≤ |alphabet| rows per batch instead of every mention
-    # (the round-3 slim.unique shuffled the full single-column table)
+    # alphabet discovery: per-batch unique partials (≤ |alphabet| rows per
+    # batch) collected by the driver in ONE execution, with no exchange
     src_partials = slim.select_columns(["source"]).map_batches(
         lambda t: pa.table({"source": t.column("source").unique()}),
         batch_format="pyarrow",
     )
-    input_sources = [s for s in src_partials.unique("source") if s is not None]
+    input_sources = sorted({r["source"] for r in src_partials.iter_rows()} - {None})
     fold_tables = _build_fold_tables(input_sources)
     states = fold_tables[0]
     mtype_idx = fold_tables[2]

@@ -26,7 +26,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .shuffle import bucket_group_apply
+from .shuffle import bucket_group_apply, group_aggregate
 from .sketches import hash63
 
 logger = logging.getLogger("entity_extractor_ray.profile")
@@ -375,8 +375,6 @@ def psi_drift(ds, value_col: str = "n_chars", key_col: str = "doc_id",
     expression floored to 6dp on both engines (token_pmi's ln-of-ratio
     class). Scale shape: one map-side (bin, side) count partial per batch
     -> one n_bins-sized aggregate; the finalizer sees 2*n_bins rows."""
-    from ray.data.aggregate import Sum
-
     def partial(t: pa.Table) -> pa.Table:
         v = t.column(value_col).to_numpy()
         k = t.column(key_col).to_numpy()
@@ -392,10 +390,9 @@ def psi_drift(ds, value_col: str = "n_chars", key_col: str = "doc_id",
             }
         )
 
-    sums = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["bin_id", "side"])
-        .aggregate(Sum("n", alias_name="n"))
+    sums = group_aggregate(
+        ds.map_batches(partial, batch_format="pyarrow"), ["bin_id", "side"],
+        {"n": ("sum", "n")},
     )
 
     def finalize(df: pd.DataFrame) -> pa.Table:

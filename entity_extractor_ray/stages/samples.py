@@ -33,7 +33,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .shuffle import bucket_group_apply
+from .shuffle import bucket_group_apply, group_aggregate
 
 
 def md5_hex_array(values) -> np.ndarray:
@@ -113,14 +113,14 @@ def rebalance_sources(
     (md5(str(key)), key) — the stratified_sample draw, so the selection is
     uniform-without-replacement, re-run-stable and engine-independent.
     Sources without a weight are dropped (weight 0). Two cheap exchanges:
-    a per-source count (map-side combined by Ray's Count) whose result is
+    a per-source count (map-side combined by group_aggregate) whose result is
     DIMENSION-sized and closes over the filter as a broadcast, then the
     bottom-quota selection with a per-batch combiner — exchange volume
     O(quota x batches), never the corpus."""
     weights = dict(MIX_WEIGHTS if weights is None else weights)
     counts = {
-        r[group_col]: r["count()"]
-        for r in ds.groupby(group_col).count().take_all()
+        r[group_col]: r["n"]
+        for r in group_aggregate(ds, group_col, {"n": ("count", None)}).take_all()
     }
     avail = [counts[s] // w for s, w in weights.items() if w > 0 and s in counts]
     units = min(avail) if avail else 0
@@ -508,8 +508,8 @@ def temperature_rebalance(ds, budget: int, key_col: str = "doc_id",
     import math
 
     counts = {
-        r[group_col]: r["count()"]
-        for r in ds.groupby(group_col).count().take_all()
+        r[group_col]: r["n"]
+        for r in group_aggregate(ds, group_col, {"n": ("count", None)}).take_all()
     }
     r_s = {s: math.floor(math.sqrt(n) * 1e6) for s, n in counts.items()}
     total = sum(r_s.values())

@@ -37,7 +37,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .shuffle import bucket_group_apply
+from .shuffle import bucket_group_apply, group_aggregate
 
 logger = logging.getLogger("entity_extractor_ray.sketches")
 
@@ -298,8 +298,6 @@ def frequent_tokens(docs_ds, top_n: int = 20, k: int = 65536):
     statistics agree on what a token is."""
     from collections import Counter
 
-    from ray.data.aggregate import Sum
-
     from .textstats import _VOCAB_RE
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -322,13 +320,8 @@ def frequent_tokens(docs_ds, top_n: int = 20, k: int = 65536):
             }
         )
 
-    # arrow format end-to-end: pandas-format partials made the aggregate's
-    # reduce emit PandasBlock partials (object-dtype tokens) and empty
-    # PandasBlockSchema filler blocks
-    sums = (
-        docs_ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum("n", alias_name="n"))
+    sums = group_aggregate(
+        docs_ds.map_batches(partial, batch_format="pyarrow"), "token", {"n": ("sum", "n")}
     )
 
     def local_topn(t: pa.Table) -> pa.Table:
@@ -398,8 +391,6 @@ def cms_token_estimates(
     lookups. rows-only as a query (an estimator by construction); pinned
     by unit tests in tests/test_cms.py."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
     probe_tokens = list(probe_tokens)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -435,12 +426,10 @@ def cms_token_estimates(
              "cnt": out.column("cnt_sum")}
         )
 
-    triples = (
-        docs_ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["row", "col"])
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .take_all()  # bounded: <= depth*width rows by construction
-    )
+    triples = group_aggregate(
+        docs_ds.map_batches(partial, batch_format="pyarrow"), ["row", "col"],
+        {"cnt": ("sum", "cnt")},
+    ).take_all()  # bounded: <= depth*width rows by construction
     dense = np.zeros((depth, width), dtype=np.int64)
     for r in triples:
         dense[r["row"], r["col"]] = r["cnt"]
@@ -565,8 +554,6 @@ def frequent_bigrams(docs_ds, top_n: int = 50, k: int = 65536):
     MG-decremented with a logged bound beyond it."""
     from collections import Counter
 
-    from ray.data.aggregate import Sum
-
     from .textstats import _VOCAB_RE
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -590,10 +577,8 @@ def frequent_bigrams(docs_ds, top_n: int = 50, k: int = 65536):
             }
         )
 
-    sums = (
-        docs_ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bigram")
-        .aggregate(Sum("n", alias_name="n"))
+    sums = group_aggregate(
+        docs_ds.map_batches(partial, batch_format="pyarrow"), "bigram", {"n": ("sum", "n")}
     )
 
     def local_topn(t: pa.Table) -> pa.Table:

@@ -20,6 +20,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .shuffle import group_aggregate
+
 # token = letter-run | digit-run | single non-space symbol (BPE-ish pretokenizer)
 TOKEN_PATTERN = r"[A-Za-z]+|[0-9]+|[^\sA-Za-z0-9]"
 WORD_PATTERN = r"[A-Za-z]+"
@@ -393,8 +395,6 @@ def vocab_stats(docs_ds, min_df: int = 2):
     Scale shape: per-batch distinct (doc, term) collapses to term->partial-df
     BEFORE the one term-keyed shuffle (map-side combine); N comes from
     parquet metadata (count is metadata-only on unfiltered reads)."""
-    from ray.data.aggregate import Sum
-
     n_docs = docs_ds.count()
 
     def partial_df(batch: pd.DataFrame) -> pa.Table:
@@ -409,10 +409,9 @@ def vocab_stats(docs_ds, min_df: int = 2):
             }
         )
 
-    df_table = (
-        docs_ds.map_batches(partial_df, batch_format="pandas")
-        .groupby("term")
-        .aggregate(Sum("partial", alias_name="df"))
+    df_table = group_aggregate(
+        docs_ds.map_batches(partial_df, batch_format="pandas"), "term",
+        {"df": ("sum", "partial")},
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -461,8 +460,6 @@ def bm25_scores(docs_ds, query: str, k1: float = BM25_K1, b: float = BM25_B):
     materialized — doc-dimension-sized), ONE tiny aggregate for global
     df/avgdl, then a broadcast-constant scoring map. The query side is a
     handful of terms — never a corpus-sized join."""
-    from ray.data.aggregate import Count, Sum
-
     terms = sorted(set(_VOCAB_RE.findall(query.lower())))
     if not terms:
         raise ValueError("query has no indexable terms")
@@ -496,13 +493,14 @@ def bm25_scores(docs_ds, query: str, k1: float = BM25_K1, b: float = BM25_B):
             )
         return pa.table(cols)
 
-    aggs = [Sum("dl", alias_name="total_dl"), Count(alias_name="n")]
-    aggs += [Sum("has_" + col, alias_name="df_" + col) for col in tf_cols]
-    g = stat_ds.map_batches(indicators, batch_format="pyarrow").aggregate(*aggs)
-    n_docs = g["n"]
-    avgdl = g["total_dl"] / n_docs
+    g = stat_ds.map_batches(indicators, batch_format="pyarrow").sum(
+        ["dl"] + ["has_" + col for col in tf_cols]
+    )
+    n_docs = stat_ds.count()
+    avgdl = g["sum(dl)"] / n_docs
+    df = {col: g[f"sum(has_{col})"] for col in tf_cols}
     idf = {
-        col: float(np.log(1.0 + (n_docs - g["df_" + col] + 0.5) / (g["df_" + col] + 0.5)))
+        col: float(np.log(1.0 + (n_docs - df[col] + 0.5) / (df[col] + 0.5)))
         for col in tf_cols
     }
 
@@ -664,8 +662,6 @@ def lm_quality_scores(docs_ds, max_vocab: int = LM_MAX_VOCAB,
     from collections import Counter
 
     import ray
-    from ray.data.aggregate import Sum
-
     def grams(batch: pd.DataFrame) -> pa.Table:
         uni: Counter = Counter()
         bi: Counter = Counter()
@@ -679,10 +675,8 @@ def lm_quality_scores(docs_ds, max_vocab: int = LM_MAX_VOCAB,
             {"k": pa.array(keys, pa.string()), "n": pa.array(vals, pa.int64())}
         )
 
-    sums = (
-        docs_ds.map_batches(grams, batch_format="pandas")
-        .groupby("k")
-        .aggregate(Sum("n", alias_name="n"))
+    sums = group_aggregate(
+        docs_ds.map_batches(grams, batch_format="pandas"), "k", {"n": ("sum", "n")}
     )
 
     def top_rows(prefix: str, cap: int):
@@ -751,8 +745,6 @@ def skipgram_pairs(docs_ds, window: int = 3, min_count: int = 5):
     no join); per-batch pre-count collapses the exchange to distinct pairs
     per batch before the ONE pair-keyed groupby."""
     import pyarrow.compute as pc2
-    from ray.data.aggregate import Sum
-
     def pairs_partial(t: pa.Table) -> pa.Table:
         parts = pc2.split_pattern(t.column("text"), pattern=" ").combine_chunks()
         offs = parts.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
@@ -787,10 +779,9 @@ def skipgram_pairs(docs_ds, window: int = 3, min_count: int = 5):
             }
         )
 
-    counts = (
-        docs_ds.map_batches(pairs_partial, batch_format="pyarrow")
-        .groupby(["w1", "w2"])
-        .aggregate(Sum("partial", alias_name="n"))
+    counts = group_aggregate(
+        docs_ds.map_batches(pairs_partial, batch_format="pyarrow"), ["w1", "w2"],
+        {"n": ("sum", "partial")},
     )
     return counts.map_batches(
         lambda t: t.filter(
@@ -826,27 +817,15 @@ def token_pmi(docs_ds, window: int = 3, min_count: int = 5):
     discipline). Unigram totals ride a broadcast lookup_join (vocab-sized
     right side); scalar totals are two driver aggregates."""
     import pyarrow.compute as pc2
-    from ray.data.aggregate import Sum
-
     from .shuffle import lookup_join
 
-    def unigram_partial(t: pa.Table) -> pa.Table:
+    def words(t: pa.Table) -> pa.Table:
         parts = pc2.split_pattern(t.column("text"), pattern=" ")
-        flat = pa.table({"word": parts.combine_chunks().flatten()})
-        agg = pa.TableGroupBy(flat, "word").aggregate([([], "count_all")])
-        return pa.table(
-            {
-                "word": agg.column("word"),
-                "partial": pc2.cast(agg.column("count_all"), pa.int64()),
-            }
-        )
+        return pa.table({"word": parts.combine_chunks().flatten()})
 
-    unigrams = (
-        docs_ds.map_batches(unigram_partial, batch_format="pyarrow")
-        .groupby("word")
-        .aggregate(Sum("partial", alias_name="cnt"))
-        .materialize()  # reused: total + two joins
-    )
+    unigrams = group_aggregate(
+        docs_ds.map_batches(words, batch_format="pyarrow"), "word", {"cnt": ("count", None)}
+    ).materialize()  # reused: total + two joins
     n_words = int(unigrams.sum("cnt") or 0)
 
     pairs = skipgram_pairs(docs_ds, window=window, min_count=0).materialize()
@@ -1050,8 +1029,6 @@ def zipf_slope_by_source(docs_ds):
     SOURCE (dimension-sized key), ranks each source's vocabulary in one
     task (a 10^7-term vocab is ~200 MB of int64 columns — one task's
     work), and emits one row per source."""
-    from ray.data.aggregate import Sum
-
     from .shuffle import bucket_group_apply
 
     from collections import Counter
@@ -1070,10 +1047,9 @@ def zipf_slope_by_source(docs_ds):
             }
         )
 
-    counts = (
-        docs_ds.map_batches(partial, batch_format="pandas")
-        .groupby(["source", "term"])
-        .aggregate(Sum("partial", alias_name="cnt"))
+    counts = group_aggregate(
+        docs_ds.map_batches(partial, batch_format="pandas"), ["source", "term"],
+        {"cnt": ("sum", "partial")},
     )
 
     def slope_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:

@@ -9,7 +9,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from entity_extractor_ray.stages.shuffle import (
-    compact_blocks, lookup_join, materialize_blocks,
+    bucket_hash_join, compact_blocks, lookup_join, materialize_blocks,
 )
 
 PKG = pathlib.Path(__file__).resolve().parent.parent / "entity_extractor_ray"
@@ -49,6 +49,24 @@ def test_bucket_fallback_reuses_the_executed_right_side(ray_session, tmp_path):
                       broadcast_limit=0, n_buckets=2)
     assert sorted(out.to_pandas()["k"].tolist()) == [0, 1, 2]
     assert _calls(log) == 4
+
+
+def test_bucket_join_keeps_the_left_side_lazy(ray_session, tmp_path):
+    """Building the join runs only the right side; consuming it runs each
+    left batch once (no schema probe, no materialized fact side)."""
+    log_l, log_r = tmp_path / "left.txt", tmp_path / "right.txt"
+
+    def counted(t: pa.Table) -> pa.Table:
+        with open(str(log_l), "a") as fh:
+            fh.write("x\n")
+        return t
+
+    frames = [pd.DataFrame({"k": [i, i + 3], "a": [i, i]}) for i in range(3)]
+    left = rd.from_pandas(frames).map_batches(counted, batch_format="pyarrow")
+    out = bucket_hash_join(left, _counting_right(str(log_r), 4), key="k", n_buckets=2)
+    assert _calls(log_l) == 0 and _calls(log_r) == 4
+    assert sorted(out.to_pandas()["k"].tolist()) == [0, 1, 2, 3]
+    assert _calls(log_l) == 3 and _calls(log_r) == 4
 
 
 def test_materialize_blocks_reads_metadata_and_drops_fillers(ray_session):

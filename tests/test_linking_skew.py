@@ -102,6 +102,44 @@ class TestSkewSalting:
         assert "Hot Chem 0000" in by_name
 
 
+class TestGateCounts:
+    """The gate's manufacturer counts: skipped when the whole key table is
+    at most the threshold (no manufacturer can exceed it), grouped by
+    ``group_aggregate`` otherwise."""
+
+    def test_small_table_skips_the_count(self, mentions, monkeypatch):
+        from entity_extractor_ray.stages import linking
+
+        def no_count(*a, **k):
+            raise AssertionError("gate counted a table below its threshold")
+
+        base = _mapping_rows(build_chemical_mapping(mentions, n_buckets=8,
+                                                    skew_threshold=None))
+        monkeypatch.setattr(linking, "group_aggregate", no_count)
+        gated = _mapping_rows(build_chemical_mapping(mentions, n_buckets=8,
+                                                     skew_threshold=10_000))
+        assert base == gated
+
+    def test_lowered_threshold_nominates_only_the_hot_key(self, mentions, monkeypatch):
+        from entity_extractor_ray.stages import linking
+
+        seen = []
+        refine = linking._refine_hot_manufacturers
+
+        def spy(partial, candidates, threshold):
+            seen.append(sorted(candidates))
+            return refine(partial, candidates, threshold)
+
+        monkeypatch.setattr(linking, "_refine_hot_manufacturers", spy)
+        # HotCo holds hundreds of keys, each cold vendor 20: only HotCo is over
+        got = _mapping_rows(build_chemical_mapping(mentions, n_buckets=8,
+                                                   skew_threshold=30))
+        assert seen == [["HotCo"]]
+        base = _mapping_rows(build_chemical_mapping(mentions, n_buckets=8,
+                                                    skew_threshold=None))
+        assert got == base
+
+
 class TestGateRefinement:
     """The two-stage skew gate: the partial-row OVERcount only nominates
     candidates; the bottom-k distinct sketch decides. A duplicate-heavy but

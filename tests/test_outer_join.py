@@ -99,3 +99,22 @@ def test_bucket_hash_join_outer_empty_side():
     ).to_pandas()
     assert sorted(out["k"]) == [1, 2]
     assert out["b"].isna().all()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_bucket_hash_join_empty_left_side():
+    """No left batch reaches the exchange: the joins are empty, FULL OUTER
+    keeps the right rows under the key and right columns."""
+    import ray.data as rd
+
+    from entity_extractor_ray.stages.shuffle import bucket_hash_join
+
+    left = rd.from_pandas(pd.DataFrame({"k": [1, 2], "a": [10, 20]})).filter(expr="k > 5")
+    right = rd.from_pandas(pd.DataFrame({"rk": [2, 4], "b": ["x", "z"]}))
+    for how in ("inner", "left", "semi", "anti"):
+        out = bucket_hash_join(left, right, key="k", right_key="rk", how=how, n_buckets=2)
+        assert out.count() == 0, how
+    out = bucket_hash_join(left, right, key="k", right_key="rk", how="outer", n_buckets=2)
+    got = out.to_pandas().sort_values("k")
+    assert list(got.columns) == ["k", "b"]
+    assert got["k"].tolist() == [2, 4] and got["b"].tolist() == ["x", "z"]
