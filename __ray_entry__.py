@@ -453,7 +453,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         import ray.data as rd
 
         media = rd.from_arrow(mm.synth_media_table(n_items=128))
-        return mm.decode_media(media, concurrency=2, batch_size=16).select_columns(
+        return mm.decode_media(media, concurrency=(1, 2), batch_size=16).select_columns(
             ["item_id", "mime", "n_bytes", "sha16"]
         )
 
@@ -464,7 +464,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         media = rd.from_arrow(mm.synth_media_table(n_items=128))
         return mm.resize_media(media, target_w=8, target_h=8,
-                               concurrency=2, batch_size=16).select_columns(
+                               concurrency=(1, 2), batch_size=16).select_columns(
             ["item_id", "mime", "src_bytes", "out_w", "out_h"]
         )
 
@@ -627,19 +627,22 @@ def queries() -> dict[str, Callable[[str], Any]]:
         import ray.data as rd
 
         from entity_extractor_ray.stages.assemble import (
-            assemble_records,
+            assemble_bucket,
             dedup_records,
         )
         from entity_extractor_ray.stages.extract import extract_records
         from entity_extractor_ray.stages.linking import build_chemical_mapping
+        from entity_extractor_ray.stages.shuffle import bucket_group_apply
         from entity_extractor_ray.stages.triples import explode_chem_mentions
 
         records = dedup_records(
-            assemble_records(
+            bucket_group_apply(
                 rd.read_parquet(_synthetic_corpus(sf)).map_batches(
                     extract_records, batch_format="pyarrow"
                 ),
-                n_buckets=16,
+                ["conv_id"],
+                lambda df, b: assemble_bucket(df),
+                16,
             ),
             n_buckets=16,
         )

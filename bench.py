@@ -225,6 +225,9 @@ def run_once() -> dict:
             "weather": weather,
         }
 
+    from entity_extractor_ray.pipelines import mining
+    from entity_extractor_ray.stages import decontam, samples
+    from entity_extractor_ray.stages import profile as prof
     from entity_extractor_ray.stages import sketches as sk
     from entity_extractor_ray.stages import textstats as ts
 
@@ -247,27 +250,17 @@ def run_once() -> dict:
         "curate_documents": lambda: ts.curate_by_quality(
             _rpc(f"{SF_DIR}/documents.parquet", columns=["doc_id", "text", "lang"])
         ),
-        "profile_orders": lambda: __import__(
-            "entity_extractor_ray.stages.profile", fromlist=["profile_table"]
-        ).profile_table(_rpc(f"{SF_DIR}/orders.parquet")),
+        "profile_orders": lambda: prof.profile_table(_rpc(f"{SF_DIR}/orders.parquet")),
         "q5_local_supplier_revenue": lambda: ana.q5_local_supplier_revenue(SF_DIR),
         "events_funnel": lambda: ana.events_funnel(SF_DIR),
         "embedding_centroids": lambda: ana.embedding_centroids(SF_DIR),
         "customers_fuzzy_pairs": lambda: ana.customers_fuzzy_pairs(SF_DIR),
-        "basket_pair_lift": lambda: __import__(
-            "entity_extractor_ray.pipelines.mining", fromlist=["basket_pair_lift"]
-        ).basket_pair_lift(SF_DIR),
-        "supplier_jaccard": lambda: __import__(
-            "entity_extractor_ray.pipelines.mining", fromlist=["supplier_jaccard"]
-        ).supplier_jaccard(SF_DIR),
+        "basket_pair_lift": lambda: mining.basket_pair_lift(SF_DIR),
+        "supplier_jaccard": lambda: mining.supplier_jaccard(SF_DIR),
         # round-5 continuation additions (both map-only; the broadcast
         # index / per-batch top-k shapes should stay flat vs corpus size)
-        "fuzzy_decontaminate_docs": lambda: __import__(
-            "entity_extractor_ray.stages.decontam", fromlist=["fuzzy_decontaminate"]
-        ).fuzzy_decontaminate(_docs()),
-        "weighted_reservoir_docs": lambda: __import__(
-            "entity_extractor_ray.stages.samples", fromlist=["weighted_reservoir_sample"]
-        ).weighted_reservoir_sample(
+        "fuzzy_decontaminate_docs": lambda: decontam.fuzzy_decontaminate(_docs()),
+        "weighted_reservoir_docs": lambda: samples.weighted_reservoir_sample(
             _rpc(f"{SF_DIR}/documents.parquet", columns=["doc_id", "n_chars"]),
             weight_col="n_chars", k=100,
         ),
@@ -279,9 +272,7 @@ def run_once() -> dict:
         "embedding_decontaminate": lambda: sim.embedding_decontaminate(
             _embs(), eval_mod=20, threshold=0.35
         ),
-        "upsample_sources": lambda: __import__(
-            "entity_extractor_ray.stages.samples", fromlist=["upsample_sources"]
-        ).upsample_sources(
+        "upsample_sources": lambda: samples.upsample_sources(
             _rpc(f"{SF_DIR}/documents.parquet", columns=["doc_id", "source"])
         ),
     }

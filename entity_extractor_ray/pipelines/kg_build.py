@@ -1,43 +1,60 @@
 """The flagship pipeline: transcript turns -> knowledge graph.
 
-Logical DAG (SURVEY.md §7.1), all Ray Data:
+The KG DAG is declared ONCE, as data: ``STAGES`` lists every stage in run
+order with its name, its build function and its resume grain. One runner
+(``_Run``) executes that list for both entry points — ``build_kg`` and
+``ingest_delta`` differ only in their records source and their
+ingest-errors feeds (SURVEY.md §7.1, all Ray Data):
 
-    read_parquet(turns: conv_id, turn_idx, role, text, tool, ts)
-      -> map_batches(RecordExtractor)            [vectorized RE2, stateless]
-      -> assemble_records + J1 guard dedup       [groupby conv/material bucket]
-      -> explode triples / chem mentions         [map_batches]
-      -> build_chemical_mapping                  [distinct-key groupby + union-find]
-      -> link_chem_mentions                      [bucket hash join on probe_key]
-      -> fold_chemical_states                    [bucketed ordered fold]
-      -> material identities / edges / rollup    [pre-aggregated groupbys]
-      -> nodes / edges / lineage                 [Parquet sinks]
+    records       extract -> assemble (conv bucket) -> J1 guard dedup
+    chem_mapping  distinct-key groupby + union-find canonicalization
+    linked        bucket/broadcast join of chem mentions on probe_key
+    chem_status   bucketed ordered status fold
+    edges         J4 dedup of CONTAINS + MADE_BY in one (src, dst) shuffle
+    triples       map-only over records
+    nodes         material identities + status rollup + node assembly
+    manufacturers the vendor dimension from the same identity shuffle
+    lineage       map-only over linked
+    errors        record drops + fold coercions + ingest-invalid rows
 
-Execution discipline: a stage is PINNED (checkpointed to Parquet when
-``out_dir`` is set, materialized otherwise) only when MULTIPLE downstream
-branches consume it — everything else stays lazy so Ray's streaming executor
-fuses it into its consumer and the stage count (fixed scheduling overhead)
-stays low. Pinned stages: deduped records, chemical mapping, linked
-mentions, chemical status, edges. Outputs (triples, nodes, edges, lineage)
-are written under ``out_dir`` and resumable; reruns skip completed stages
-via commit-last manifests (state/checkpoint.py).
+With ``out_dir`` every stage checkpoints under ``out_dir/<stage>/`` and a
+rerun skips committed stages through their commit-last ``_SUCCESS``
+manifests (state/checkpoint.py). Inside a stage, the grain says what a
+rerun keeps:
+
+    stage   the build's Dataset commits in one write; all or nothing
+    bucket  the build commits one part per hash bucket into the stage dir
+            (the records stage's assemble shuffle does the same into
+            ``records_assemble/``); a rerun rebuilds only missing buckets
+    shard   map-only stages: one part per source file of each feed; a
+            rerun rebuilds only missing parts, with no shuffle
+
+Without ``out_dir`` the runner materializes the interior stages (each has
+several consumers) and leaves the terminal ones lazy, so they fuse into
+the caller's sink. Either way each stage emits ONE metrics record — the
+same dict feeds ``KGResult.metrics``, ``metrics.parquet`` and the
+``progress`` callback.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import logging
 import os
 import time
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import pyarrow as pa
 
-from ..stages.assemble import assemble_records, dedup_records
+from ..stages.assemble import RECORD_SCHEMA, assemble_bucket, dedup_records
 from ..stages.extract import RecordExtractor
 from ..stages.graph import (
+    EDGES_SCHEMA,
     assemble_nodes,
-    dedup_edges,
-    dedup_edges_partitioned,
     build_material_identities,
+    edge_candidates,
+    edge_pick_last,
     lineage_rows,
     manufacturer_table,
     rollup_status,
@@ -48,26 +65,40 @@ from ..stages.linking import (
     link_chem_mentions,
 )
 from ..stages.triples import explode_chem_mentions, explode_triples
-from ..state.checkpoint import CheckpointManager
+from ..state.checkpoint import CheckpointManager, write_shards
 
 ERRORS_SCHEMA = pa.schema(
     [
-        ("stage", pa.string()),  # assemble | dedup | status_fold
-        ("key", pa.string()),  # conv_id (assemble/dedup) or entity_id
+        ("stage", pa.string()),  # ingest | assemble | dedup | status_fold
+        ("key", pa.string()),  # conv_id (ingest/assemble/dedup) or entity_id
         ("reason", pa.string()),
     ]
 )
 
+# one row per stage (partition_id -1) or nodes sub-step (-2). rows_out is
+# null where nothing was counted: on every sub-step, and on the terminal
+# stages of an in-memory run (build_kg without out_dir, every ingest_delta),
+# which stay lazy — counting them would execute them. Consumers of
+# KGResult.metrics must accept a null rows_out on -1 rows too.
 METRICS_SCHEMA = pa.schema(
     [
         ("partition_id", pa.int32()),
         ("stage", pa.string()),
-        ("rows_in", pa.int64()),
         ("rows_out", pa.int64()),
-        ("matched_count", pa.int64()),
         ("duration_ms", pa.float64()),
+        ("gap_ms", pa.float64()),
+        ("exchange_mb", pa.float64()),
     ]
 )
+
+# a re-read checkpoint's FILE COUNT caps every downstream scan's
+# parallelism (Ray's parquet reader never splits a file across read tasks),
+# so interior stages commit many small files sized to keep 4x the join
+# partitions in flight; terminal outputs (nothing re-reads them
+# in-pipeline) keep the large default for cheap commits
+REREAD_FILE_OPTS = {"min_rows_per_file": 2048, "max_rows_per_file": 8192}
+
+_log = logging.getLogger("entity_extractor_ray.kg_build")
 
 
 @dataclasses.dataclass
@@ -112,7 +143,7 @@ def _empty_result(metrics) -> KGResult:
     import ray.data as rd
 
     from ..stages.graph import (
-        EDGES_SCHEMA, LINEAGE_SCHEMA, MANUFACTURERS_SCHEMA, NODES_SCHEMA,
+        LINEAGE_SCHEMA, MANUFACTURERS_SCHEMA, NODES_SCHEMA,
     )
     from ..stages.triples import TRIPLES_SCHEMA
 
@@ -145,11 +176,6 @@ def validate_turns(batch: pa.Table):
         pc.is_valid(t.column("conv_id")), pc.is_valid(t.column("turn_idx"))
     )
     return t.filter(valid), t.filter(pc.invert(valid))
-
-
-def _validate_split(batch: pa.Table) -> pa.Table:
-    ok, _bad = validate_turns(batch)
-    return ok
 
 
 def _invalid_error_rows(batch: pa.Table) -> pa.Table:
@@ -214,6 +240,338 @@ def _fold_error_rows(t: pa.Table) -> pa.Table:
     )
 
 
+def _extraction(turns, batch_size, extractor="rules", concurrency=None,
+                model_kwargs=None):
+    """Turns -> extraction rows. M14 ingest validation (schema cast +
+    key-null split) fuses into the extract map."""
+    turns_ds = _read_turns(turns, ["conv_id", "turn_idx", "text"]).map_batches(
+        lambda b: validate_turns(b)[0], batch_format="pyarrow"
+    )
+    if extractor == "gliner":
+        # heavy span model: ALWAYS a fixed actor pool (one warm model per
+        # actor), never the elastic task path; small batches by default
+        # (transformer inference memory)
+        from ..stages.adapters import ModelRecordExtractor
+
+        kw = dict(model_kwargs)
+        ex_concurrency = kw.pop("concurrency", concurrency or 2)
+        ex_num_gpus = kw.pop("num_gpus", 0)
+        ex_batch = kw.pop("batch_size", min(batch_size, 256))
+        return turns_ds.map_batches(
+            ModelRecordExtractor,
+            fn_constructor_kwargs=kw,
+            batch_format="pyarrow",
+            batch_size=ex_batch,
+            concurrency=ex_concurrency,
+            num_gpus=ex_num_gpus or None,
+        )
+    if concurrency is None:
+        # task pool + per-process singleton: elastic, no actor startup (the
+        # rule extractor's state is just compiled patterns)
+        from ..stages.extract import extract_records
+
+        return turns_ds.map_batches(
+            extract_records, batch_format="pyarrow", batch_size=batch_size
+        )
+    # an explicit concurrency gets a fixed actor pool
+    return turns_ds.map_batches(
+        RecordExtractor,
+        batch_format="pyarrow",
+        batch_size=batch_size,
+        concurrency=concurrency,
+    )
+
+
+def _ingest_rows(t: pa.Table) -> pa.Table:
+    """A prior run's persisted ingest-invalid rows (old raw turns are not
+    re-read)."""
+    import pyarrow.compute as pc
+
+    return t.filter(pc.equal(t.column("stage"), "ingest"))
+
+
+def _triple_rows(t: pa.Table) -> pa.Table:
+    return explode_triples(_only_clean(t))
+
+
+def _log_progress(stage, rows, seconds):
+    _log.info("stage %s: %d rows in %.1fs", stage, rows, seconds)
+
+
+# ------------------------------------------------------------------ stages
+
+def _clean(r) -> "ray.data.Dataset":  # noqa: F821
+    # lazy per-batch filter — fuses into each consumer's execution
+    return r.out["records"].map_batches(_only_clean, batch_format="pyarrow")
+
+
+def _chem_mentions(r):
+    return _clean(r).map_batches(explode_chem_mentions, batch_format="pyarrow")
+
+
+def _branches(r, ids, status):
+    """Branch staging is WIDTH-AWARE. Measured in-pipeline on 2.53M turns,
+    same fixed plan: at 32 CPUs two driver-thread streaming executors
+    thrash each other late in a wide session (ids+status 57.5s concurrent vs
+    13.3s sequential) — the driver-side per-block work of two executors
+    shares one GIL and grows with in-flight width. At 8 CPUs the opposite
+    holds (11.7s concurrent vs 30.8s sequential): each branch is too small
+    to fill the machine. At ONE CPU the two executors cannot overlap any
+    task (measured: no gain, BASELINE.md). So: concurrent from 2 to 15
+    driver-visible CPUs, sequential otherwise."""
+    import ray
+
+    try:
+        width = int(ray.cluster_resources().get("CPU", 0))
+    except Exception:
+        width = 0
+    if not 1 < width < 16:
+        return r.sub("ids", ids), r.sub("status", status)
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=2) as ex:
+        futures = [ex.submit(r.sub, "ids", ids), ex.submit(r.sub, "status", status)]
+        return tuple(f.result() for f in futures)
+
+
+def _nodes(r):
+    """The nodes inputs are staged, not fused: fusing the shuffle-bearing
+    branches plus the node-assembly joins into ONE streaming plan makes
+    every all-to-all share one resource budget and thrashed the single
+    memory bus (measured 68s fused vs 16s staged at 32 CPUs, 2.4M turns).
+    The branches are entity-dimension-sized, so materializing them (object
+    store, spillable) is bounded. One 3-column projection of chem_status is
+    materialized ONCE and feeds both the rollup join and the chem-node join
+    (each would otherwise re-execute it at its own to_arrow_refs)."""
+    n, j = r.n_buckets, r.num_join_partitions
+    chem_slim = r.sub("chem_slim", lambda: r.out["chem_status"].select_columns(
+        ["entity_id", "pfas_status", "pfas_information_source"]
+    ).materialize())
+    ids_all, material_status = r.sub("branches", lambda: _branches(
+        r,
+        lambda: build_material_identities(_clean(r), n).materialize(),
+        lambda: rollup_status(r.out["edges"], chem_slim, n, j).materialize(),
+    ))
+    # one shuffle produced BOTH dimension tables (row_kind MAT | MFR); the
+    # manufacturers stage reuses it
+    r.out["material_identities"] = ids_all
+    return assemble_nodes(
+        ids_all.filter(expr="row_kind == 'MAT'").select_columns(
+            ["material_id", "name", "manufacturer"]),
+        material_status, r.out["chem_mapping"], chem_slim,
+        ids_all.filter(expr="row_kind == 'MFR'").select_columns(["manufacturer"]),
+        j,
+    )
+
+
+def _manufacturers(r):
+    # recomputes the identity shuffle only when resume skipped nodes
+    ids_all = r.out.get("material_identities")
+    if ids_all is None:
+        ids_all = build_material_identities(_clean(r), r.n_buckets)
+    return manufacturer_table(ids_all.filter(expr="row_kind == 'MFR'"))
+
+
+def _ingest_feed(turns):
+    # ingest-invalid rows: a second, lazy scan of the raw input pruned to
+    # the two key columns (never re-reads text)
+    src = [turns] if isinstance(turns, str) else turns
+    return ("ing", src, _invalid_error_rows, ["conv_id", "turn_idx"])
+
+
+def _error_feeds(r):
+    # a shard stage's build returns its feeds: (part tag, source, per-file
+    # transform, columns read); the source is a stage name, a list of
+    # parquet paths or a Dataset (no source shards: a stage-level commit)
+    return [
+        ("rec", "records", _record_error_rows, ["conv_id", "drop_reason"]),
+        ("fold", "chem_status", _fold_error_rows, ["entity_id", "n_coerced"]),
+    ] + r.ingest_feeds
+
+
+@dataclasses.dataclass(frozen=True)
+class Stage:
+    name: str
+    build: Callable  # (run) -> Dataset; a shard stage returns its feeds
+    grain: str = "stage"  # stage | bucket | shard
+    terminal: bool = False  # only the caller consumes it: lazy in memory
+
+
+STAGES = [
+    Stage("records", lambda r: r.records_source(r)),
+    Stage("chem_mapping", lambda r: build_chemical_mapping(
+        _chem_mentions(r), r.n_buckets)),
+    Stage("linked", lambda r: link_chem_mentions(
+        _chem_mentions(r), r.out["chem_mapping"], r.num_join_partitions)),
+    Stage("chem_status", lambda r: fold_chemical_states(r.out["linked"], r.n_buckets)),
+    Stage("edges", lambda r: r.buckets(
+        "edges", edge_candidates(r.out["linked"], _clean(r)), ["src", "dst"],
+        edge_pick_last, EDGES_SCHEMA, arrow=True), grain="bucket"),
+    Stage("triples", lambda r: [("", "records", _triple_rows, None)],
+          grain="shard", terminal=True),
+    Stage("nodes", _nodes, terminal=True),
+    Stage("manufacturers", _manufacturers, terminal=True),
+    Stage("lineage", lambda r: [("", "linked", functools.partial(
+        lineage_rows, n_buckets=r.n_buckets), None)], grain="shard", terminal=True),
+    Stage("errors", _error_feeds, grain="shard", terminal=True),
+]
+
+
+def _records_source(extraction, prior_files=None):
+    """The records stage: assemble the extraction rows per conversation
+    bucket, then the J1 guard — over the prior run's records too when
+    ``prior_files`` is given (prior winners keep their min order, prior
+    losers pass through on their error key)."""
+
+    def build(r):
+        records = r.buckets("records_assemble", extraction, ["conv_id"],
+                            lambda df, b: assemble_bucket(df), RECORD_SCHEMA)
+        if prior_files:
+            import ray.data as rd
+
+            records = rd.read_parquet(prior_files).union(records)
+        # reread_safe: parts-backed assemble output lets the dedup decision
+        # pass and the apply pass each re-read parquet instead of re-running
+        # extraction
+        return dedup_records(records, r.n_buckets, reread_safe=r.ckpt is not None)
+
+    return build
+
+
+class _Run:
+    """One execution of ``STAGES``: stage outputs by name plus one metrics
+    record per stage. The in-memory vs checkpointed choice is ``ckpt``."""
+
+    def __init__(self, records_source, ingest_feeds, n_buckets, num_join_partitions,
+                 ckpt: Optional[CheckpointManager] = None, progress=None):
+        self.records_source = records_source
+        self.ingest_feeds = ingest_feeds
+        self.n_buckets = n_buckets
+        self.num_join_partitions = num_join_partitions
+        self.ckpt = ckpt
+        self.progress = progress or _log_progress
+        self.out: dict = {}
+        self.metrics: List[dict] = []
+        self._stage = ""
+        self._last_end = time.perf_counter()
+
+    def buckets(self, name, ds, keys, fn, schema, arrow=False):
+        """Apply ``fn(bucket, bucket_id)`` per hash bucket of ``keys``; with
+        a checkpoint each bucket commits its own part under ``name``."""
+        from ..stages import shuffle
+
+        if self.ckpt is None:
+            apply = shuffle.bucket_group_apply_arrow if arrow else shuffle.bucket_group_apply
+            return apply(ds, keys, fn, self.n_buckets)
+        return shuffle.bucket_group_apply_partitioned(
+            ds, keys, fn, self.n_buckets, self.ckpt.parts_dir(name), schema,
+            arrow_groups=arrow,
+        )
+
+    def sub(self, name, fn):
+        """Time one step inside the running stage as a sub-row
+        (partition_id -2; the stage gauge surfaces ignore them)."""
+        t0 = time.perf_counter()
+        res = fn()
+        self._record(-2, f"{self._stage}.{name}", None, t0, 0.0, None)
+        return res
+
+    def _record(self, partition_id, stage, rows, t0, gap_s, ex_bytes):
+        self.metrics.append(
+            {
+                "partition_id": partition_id,
+                "stage": stage,
+                "rows_out": rows,
+                "duration_ms": (time.perf_counter() - t0) * 1000,
+                "gap_ms": gap_s * 1000,
+                "exchange_mb": None if ex_bytes is None else round(ex_bytes / 1e6, 2),
+            }
+        )
+
+    def _source(self, src, columns):
+        return self.out[src] if isinstance(src, str) else _read_turns(src, columns)
+
+    def _files(self, src):
+        if isinstance(src, str):
+            return _expand(self.ckpt.stage_dir(src))
+        return [f for p in src for f in _expand(p)] if isinstance(src, list) else None
+
+    def _lazy(self, st: Stage):
+        if st.grain != "shard":
+            return st.build(self)
+        parts = [self._source(src, cols).map_batches(fn, batch_format="pyarrow")
+                 for _, src, fn, cols in st.build(self)]
+        return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+
+    def _commit(self, st: Stage):
+        ck = self.ckpt
+        if st.grain == "bucket":
+            def write_buckets():
+                st.build(self)  # commits its own bucket parts
+
+            return ck.run(st.name, write_buckets)
+        if st.grain == "shard":
+            feeds = [(tag, self._files(src), fn, cols)
+                     for tag, src, fn, cols in st.build(self)]
+            # a Dataset input has no source shards: stage-level commit
+            if all(files is not None for _, files, _, _ in feeds):
+                return ck.run(st.name, lambda: write_shards(ck.parts_dir(st.name), feeds))
+        return ck.run(st.name, lambda: self._lazy(st),
+                      **({} if st.terminal else REREAD_FILE_OPTS))
+
+    def stage(self, st: Stage) -> None:
+        """Run one stage: checkpoint it, or materialize it unless it is
+        terminal; then emit its record. gap_ms is the wall time since the
+        previous stage ended — construction-time executions (broadcast
+        probes etc.) show up there."""
+        self._stage = st.name
+        t0 = time.perf_counter()
+        if self.ckpt is not None:
+            ds = self._commit(st)
+            m = self.ckpt.manifest(st.name)
+            rows, ex_bytes = m["rows"], m.get("exchange_bytes")
+        else:
+            from ..stats import meter_snapshot, snapshot_delta
+
+            snap0 = meter_snapshot()
+            ds, rows = self._lazy(st), None
+            if not st.terminal:
+                ds = ds.materialize()
+                rows = ds.count()
+            ex = snapshot_delta(snap0, meter_snapshot())
+            ex_bytes = ex["exchange_bytes"] if ex else None
+        self.out[st.name] = ds
+        self._record(-1, st.name, rows, t0, t0 - self._last_end, ex_bytes)
+        self._last_end = time.perf_counter()
+        if rows is not None:
+            self.progress(st.name, rows, self._last_end - t0)
+
+    def result(self) -> KGResult:
+        # Cold-build log hygiene (VERDICT r4 #4): Ray's sort/groupby reduces
+        # emit zero-column filler blocks for empty partitions that no UDF
+        # ever sees, so they cannot be typed at any projection site; the
+        # narrow driver-side filter (raylog.py — drops ONLY the empty-filler
+        # variant, real schema divergences stay loud) is installed wherever
+        # the build runs, not just in bench.
+        from ..raylog import install_empty_schema_filter
+
+        install_empty_schema_filter()
+        for st in STAGES:
+            self.stage(st)
+            if st.name == "records" and self.metrics[-1]["rows_out"] == 0:
+                return _empty_result(self.metrics)
+        if self.ckpt is not None:
+            # persist the metrics table next to the data (A6 rollup surface)
+            import pyarrow.parquet as pq
+
+            metrics_dir = os.path.join(self.ckpt.root, "metrics")
+            os.makedirs(metrics_dir, exist_ok=True)
+            pq.write_table(pa.Table.from_pylist(self.metrics, schema=METRICS_SCHEMA),
+                           os.path.join(metrics_dir, "metrics.parquet"))
+        outputs = ("triples", "nodes", "edges", "lineage", "errors", "manufacturers")
+        return KGResult(metrics=self.metrics, **{n: self.out[n] for n in outputs})
+
+
 def build_kg(
     turns,
     out_dir: Optional[str] = None,
@@ -234,8 +592,8 @@ def build_kg(
     n_buckets: hash-bucket count for the wide stages — scale with cluster
       size (rule of thumb: 2-4x total cores).
     progress: optional callable(stage_name, rows, seconds) invoked as each
-      pinned stage commits — the live progress surface (reference A8 stage
-      gauges); defaults to a logging.info line per stage.
+      stage commits or materializes — the live progress surface (reference
+      A8 stage gauges); defaults to a logging.info line per stage.
     extractor: "rules" (default — the deterministic vectorized regex
       extractor) or "gliner" (stages/adapters.ModelRecordExtractor: a warm
       GLiNER span model per actor, record assembly by span order — same
@@ -246,23 +604,12 @@ def build_kg(
     extractor_kwargs: forwarded to the model extractor stage —
       model_name, labels, model_factory (tests), concurrency, num_gpus.
     """
-    # Cold-build log hygiene (VERDICT r4 #4): Ray's sort/groupby reduces
-    # emit zero-column filler blocks for empty partitions that no UDF ever
-    # sees, so they cannot be typed at any projection site; the narrow
-    # driver-side filter (raylog.py — drops ONLY the empty-filler variant,
-    # real schema divergences stay loud) is installed wherever the build
-    # runs, not just in bench.
-    from ..raylog import install_empty_schema_filter
-
-    install_empty_schema_filter()
-    extractor_kwargs = dict(extractor_kwargs or {})
+    extractor_kwargs = extractor_kwargs or {}
     if extractor == "gliner":
         from ..stages.adapters import gliner_available
 
         if "model_factory" not in extractor_kwargs and not gliner_available():
-            import logging
-
-            logging.getLogger("entity_extractor_ray.kg_build").warning(
+            _log.warning(
                 "extractor='gliner' requested but the gliner package is not "
                 "installed and no model_factory was injected; falling back "
                 "to the rule-based extractor"
@@ -290,411 +637,10 @@ def build_kg(
         )
     else:
         ckpt = None
-    if progress is None:
-        import logging
-
-        _plog = logging.getLogger("entity_extractor_ray.kg_build")
-
-        def progress(stage, rows, seconds):  # noqa: F811
-            _plog.info("stage %s: %d rows in %.1fs", stage, rows, seconds)
-
-    metrics: List[dict] = []
-    last_end = [time.perf_counter()]
-
-    # a re-read checkpoint's FILE COUNT caps every downstream scan's
-    # parallelism (Ray's parquet reader never splits a file across read
-    # tasks), so interior stages commit many small files sized to keep
-    # 4x the join partitions in flight; terminal outputs (nothing re-reads
-    # them in-pipeline) keep the large default for cheap commits
-    reread_file_opts = {"min_rows_per_file": 2048, "max_rows_per_file": 8192}
-
-    def pin(name, build, terminal: bool = False, partitioned: bool = False):
-        """Checkpoint (out_dir mode) or materialize a multi-consumer stage.
-        partitioned=True: ``build(stage_dir)`` commits its own per-bucket
-        parts (ckpt.run_partitioned; only valid with out_dir). gap_ms = wall
-        time since the previous pin ended — construction-time executions
-        (broadcast probes etc.) show up there."""
-        t0 = time.perf_counter()
-        if ckpt is not None:
-            if partitioned:
-                ds = ckpt.run_partitioned(name, build)
-            else:
-                ds = ckpt.run(name, build, **({} if terminal else reread_file_opts))
-            m = ckpt.manifest(name)
-            rows = m["rows"]
-            ex_bytes = m.get("exchange_bytes")
-        else:
-            from ..stats import meter_snapshot, snapshot_delta
-
-            snap0 = meter_snapshot()
-            ds = build().materialize()
-            rows = ds.count()
-            ex = snapshot_delta(snap0, meter_snapshot())
-            ex_bytes = ex["exchange_bytes"] if ex else None
-        now = time.perf_counter()
-        metrics.append(
-            {
-                "partition_id": -1,
-                "stage": name,
-                "rows_in": -1,
-                "rows_out": rows,
-                "matched_count": -1,
-                "duration_ms": (now - t0) * 1000,
-                "gap_ms": (t0 - last_end[0]) * 1000,
-                "exchange_mb": (
-                    round(ex_bytes / 1e6, 2) if ex_bytes is not None else None
-                ),
-            }
-        )
-        last_end[0] = now
-        progress(name, rows, (now - t0))
-        return ds
-
-    def pin_sharded(name, src_stage, transform, read_columns=None):
-        """Terminal map-only sink with PER-INPUT-SHARD resume: one output
-        part per upstream checkpoint file (state/checkpoint.run_sharded) —
-        a died terminal write restarts from its finished parts, and the
-        resume key needs no repartition because the upstream files are
-        deterministic."""
-        import glob as _glob
-        import os as _os
-
-        t0 = time.perf_counter()
-        files = sorted(
-            _glob.glob(_os.path.join(out_dir, src_stage, "*.parquet"))
-        )
-        ds = ckpt.run_sharded(name, files, transform, read_columns)
-        rows = ckpt.manifest(name)["rows"]
-        now = time.perf_counter()
-        metrics.append(
-            {
-                "partition_id": -1,
-                "stage": name,
-                "rows_in": -1,
-                "rows_out": rows,
-                "matched_count": -1,
-                "duration_ms": (now - t0) * 1000,
-                "gap_ms": (t0 - last_end[0]) * 1000,
-            }
-        )
-        last_end[0] = now
-        progress(name, rows, (now - t0))
-        return ds
-
-    raw_turns = _read_turns(turns, ["conv_id", "turn_idx", "text"])
-    # M14 ingest validation: schema cast + key-null split (lazy; fuses into
-    # the extract stage)
-    turns_ds = raw_turns.map_batches(_validate_split, batch_format="pyarrow")
-
-    if extractor == "gliner":
-        # heavy span model: ALWAYS a fixed actor pool (one warm model per
-        # actor), never the elastic task path; small batches by default
-        # (transformer inference memory)
-        from ..stages.adapters import ModelRecordExtractor
-
-        ex_concurrency = extractor_kwargs.pop(
-            "concurrency", extract_concurrency or 2
-        )
-        ex_num_gpus = extractor_kwargs.pop("num_gpus", 0)
-        ex_batch = extractor_kwargs.pop("batch_size", min(batch_size, 256))
-        extraction = turns_ds.map_batches(
-            ModelRecordExtractor,
-            fn_constructor_kwargs=extractor_kwargs,
-            batch_format="pyarrow",
-            batch_size=ex_batch,
-            concurrency=ex_concurrency,
-            num_gpus=ex_num_gpus or None,
-        )
-    elif extract_concurrency is None:
-        # task pool + per-process singleton: elastic, no actor startup
-        # (the rule extractor's state is just compiled patterns); pass an
-        # explicit concurrency to get a fixed actor pool for heavy models
-        from ..stages.extract import extract_records
-
-        extraction = turns_ds.map_batches(
-            extract_records, batch_format="pyarrow", batch_size=batch_size
-        )
-    else:
-        extraction = turns_ds.map_batches(
-            RecordExtractor,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=extract_concurrency,
-        )
-    # extract -> assemble -> J1-guard dedup fused into ONE pinned execution;
-    # the pinned table carries BOTH surviving records (drop_reason null) and
-    # audited error rows, so resume keeps the error channel too. With an
-    # out_dir, the assemble shuffle commits PER-BUCKET part files
-    # (assemble_records_partitioned): a death mid-records resumes from the
-    # finished buckets instead of restarting the stage from zero.
-    if ckpt is not None:
-        from ..stages.assemble import assemble_records_partitioned
-
-        parts_dir = os.path.join(out_dir, "records_assemble")
-        records = pin(
-            "records",
-            # reread_safe: the assemble output is parts-backed on disk, so
-            # the dedup decision pass and the apply pass each re-read
-            # parquet instead of re-running extraction
-            lambda: dedup_records(
-                assemble_records_partitioned(
-                    extraction, parts_dir, n_buckets, fingerprint=ckpt.fingerprint
-                ),
-                n_buckets,
-                reread_safe=True,
-            ),
-        )
-    else:
-        records = pin(
-            "records",
-            lambda: dedup_records(assemble_records(extraction, n_buckets), n_buckets),
-        )
-    if records.count() == 0:
-        return _empty_result(metrics)
-
-    import pyarrow.compute as pc  # noqa: F401
-
-    # lazy per-batch filters — they fuse into each consumer's execution
-    clean = records.map_batches(_only_clean, batch_format="pyarrow")
-
-    chem_mentions = clean.map_batches(explode_chem_mentions, batch_format="pyarrow")
-    mapping = pin("chem_mapping", lambda: build_chemical_mapping(chem_mentions, n_buckets))
-    linked = pin(
-        "linked", lambda: link_chem_mentions(chem_mentions, mapping, num_join_partitions)
-    )
-    chem_status = pin("chem_status", lambda: fold_chemical_states(linked, n_buckets))
-    # J4 dedup of BOTH edge families (CONTAINS + MADE_BY) in one bucket
-    # shuffle; with an out_dir the bucket parts commit directly into the
-    # stage dir (per-bucket resume, no second write)
-    if ckpt is not None:
-        edges = pin(
-            "edges",
-            lambda d: dedup_edges_partitioned(
-                linked, clean, d, n_buckets, fingerprint=ckpt.fingerprint
-            ),
-            partitioned=True,
-        )
-    else:
-        edges = pin("edges", lambda: dedup_edges(linked, clean, n_buckets))
-
-    # ingest-invalid rows are a second (lazy) scan of the raw input — Ray
-    # Data operators are single-output, so a rare-row side-channel costs a
-    # re-read IF AND ONLY IF the errors dataset is actually consumed; the
-    # scan is pruned to the two key columns (never re-reads text)
-    ingest_errors = _read_turns(turns, ["conv_id", "turn_idx"]).map_batches(
-        _invalid_error_rows, batch_format="pyarrow"
-    )
-    errors = (
-        records.map_batches(_record_error_rows, batch_format="pyarrow")
-        .union(chem_status.map_batches(_fold_error_rows, batch_format="pyarrow"))
-        .union(ingest_errors)
-    )
-
-    # single-consumer branches stay lazy (fused into their sink's execution)
-    triples = clean.map_batches(explode_triples, batch_format="pyarrow")
-
-    def _build_nodes():
-        # the nodes inputs are staged, not fused: fusing the shuffle-bearing
-        # branches plus the node-assembly joins into ONE streaming plan
-        # makes every all-to-all share one resource budget and thrashed the
-        # single memory bus (measured 68s fused vs 16s staged at 32 CPUs,
-        # 2.4M turns). The branches are entity-dimension-sized, so
-        # materializing them (object store, spillable) is bounded. Round 3:
-        # the two independent branches materialize CONCURRENTLY (each
-        # driver thread drives its own streaming executor) — sequential
-        # staging serialized work that is individually too small to fill
-        # the machine, making nodes the inverse-scaling stage (31s@8 ->
-        # 42s@32, r2 BASELINE.md). distinct_manufacturers now derives from
-        # the materialized material identities (vendor-dimension input)
-        # instead of a third full-table groupby over records.
-        from concurrent.futures import ThreadPoolExecutor
-
-        def sub(name, t0):
-            # sub-stage breakdown rows (partition_id -2 marks them as
-            # informational; the stage gauge surface ignores them)
-            now = time.perf_counter()
-            metrics.append(
-                {
-                    "partition_id": -2,
-                    "stage": f"nodes.{name}",
-                    "rows_in": -1,
-                    "rows_out": -1,
-                    "matched_count": -1,
-                    "duration_ms": (now - t0) * 1000,
-                }
-            )
-            return now
-
-        t = time.perf_counter()
-        # one 3-column projection of chem_status, materialized ONCE and fed
-        # to both consumers (rollup join + chem-node join) — each would
-        # otherwise re-execute the projection at its own to_arrow_refs
-        chem_slim = chem_status.select_columns(
-            ["entity_id", "pfas_status", "pfas_information_source"]
-        ).materialize()
-        t = sub("chem_slim", t)
-
-        def timed(name, fn):
-            s = time.perf_counter()
-            r = fn()
-            metrics.append(
-                {
-                    "partition_id": -2,
-                    "stage": f"nodes.{name}",
-                    "rows_in": -1,
-                    "rows_out": -1,
-                    "matched_count": -1,
-                    "duration_ms": (time.perf_counter() - s) * 1000,
-                }
-            )
-            return r
-
-        _ids = lambda: build_material_identities(clean, n_buckets).materialize()  # noqa: E731
-        _status = lambda: rollup_status(  # noqa: E731
-            edges, chem_slim, n_buckets, num_join_partitions
-        ).materialize()
-        # Branch staging is WIDTH-AWARE. Measured in-pipeline on 2.53M
-        # turns, same fixed plan: at 32 CPUs two driver-thread streaming
-        # executors thrash each other late in a wide session (ids+status
-        # 57.5s concurrent vs 13.3s sequential) — the driver-side per-block
-        # work of two executors shares one GIL and grows with in-flight
-        # width. At 8 CPUs the opposite holds (11.7s concurrent vs 30.8s
-        # sequential): each branch is too small to fill the machine. At
-        # ONE CPU the two executors cannot overlap any task (measured: no
-        # gain, BASELINE.md). So: concurrent from 2 to 15 driver-visible
-        # CPUs, sequential otherwise.
-        import ray as _ray
-
-        try:
-            width = int(_ray.cluster_resources().get("CPU", 0))
-        except Exception:
-            width = 0
-        if not 1 < width < 16:
-            ids_all = timed("ids", _ids)
-            material_status = timed("status", _status)
-        else:
-            with ThreadPoolExecutor(max_workers=2) as ex:
-                f_ids = ex.submit(timed, "ids", _ids)
-                f_status = ex.submit(timed, "status", _status)
-                ids_all = f_ids.result()
-                material_status = f_status.result()
-        t = sub("branches", t)
-        _ids_holder["ids_all"] = ids_all
-        # one shuffle produced BOTH dimension tables (row_kind MAT | MFR)
-        material_ids = ids_all.filter(expr="row_kind == 'MAT'").select_columns(
-            ["material_id", "name", "manufacturer"]
-        )
-        manufacturers = ids_all.filter(expr="row_kind == 'MFR'").select_columns(
-            ["manufacturer"]
-        )
-        return assemble_nodes(
-            material_ids, material_status, mapping, chem_slim, manufacturers,
-            num_join_partitions,
-        )
-
-    _ids_holder: dict = {}
-
-    def _build_manufacturers():
-        # reuses the identity shuffle _build_nodes already ran; recomputes it
-        # only when resume skipped the nodes stage this session
-        ids_all = _ids_holder.get("ids_all")
-        if ids_all is None:
-            ids_all = build_material_identities(clean, n_buckets)
-        return manufacturer_table(ids_all.filter(expr="row_kind == 'MFR'"))
-
-    lineage = linked.map_batches(
-        lineage_rows, fn_kwargs={"n_buckets": n_buckets}, batch_format="pyarrow"
-    )
-
-    if ckpt is not None:
-        # map-only terminal sinks resume per INPUT SHARD (one part per
-        # upstream checkpoint file, no repartition)
-        triples = pin_sharded(
-            "triples", "records",
-            lambda t: explode_triples(_only_clean(t)),
-        )
-        # branch materializes skip on resume
-        nodes = pin("nodes", _build_nodes, terminal=True)
-        manufacturers = pin("manufacturers", _build_manufacturers, terminal=True)
-        lineage = pin_sharded(
-            "lineage", "linked",
-            lambda t: lineage_rows(t, n_buckets=n_buckets),
-        )
-        if isinstance(turns, (str, list)):
-            # errors resume PER SOURCE SHARD across its three map-only
-            # feeds (record drops / fold coercions / ingest scan) — one
-            # stage dir, parts tagged by feed; a death mid-errors-stage
-            # rebuilds only the missing shards (VERDICT r4 #8). Columns
-            # pruned per feed (the ingest scan never re-reads text).
-            import glob as _glob
-            import os as _os
-
-            in_files = [
-                f
-                for p in ([turns] if isinstance(turns, str) else turns)
-                for f in _expand(p)
-            ]
-            t0e = time.perf_counter()
-            errors = ckpt.run_sharded_multi(
-                "errors",
-                [
-                    ("rec",
-                     sorted(_glob.glob(_os.path.join(out_dir, "records", "*.parquet"))),
-                     _record_error_rows, ["conv_id", "drop_reason"]),
-                    ("fold",
-                     sorted(_glob.glob(_os.path.join(out_dir, "chem_status", "*.parquet"))),
-                     _fold_error_rows, ["entity_id", "n_coerced"]),
-                    ("ing", in_files, _invalid_error_rows,
-                     ["conv_id", "turn_idx"]),
-                ],
-            )
-            e_rows = ckpt.manifest("errors")["rows"]
-            now_e = time.perf_counter()
-            metrics.append(
-                {
-                    "partition_id": -1,
-                    "stage": "errors",
-                    "rows_in": -1,
-                    "rows_out": e_rows,
-                    "matched_count": -1,
-                    "duration_ms": (now_e - t0e) * 1000,
-                    "gap_ms": (t0e - last_end[0]) * 1000,
-                }
-            )
-            last_end[0] = now_e
-            progress("errors", e_rows, now_e - t0e)
-        else:
-            # Dataset input: source shards unknowable — stage-level commit
-            errors = pin("errors", lambda ds=errors: ds, terminal=True)
-    else:
-        nodes = _build_nodes()
-        manufacturers = _build_manufacturers()
-
-    if ckpt is not None:
-        # persist the metrics table next to the data (A6 rollup surface)
-        import pyarrow.parquet as pq
-
-        metrics_dir = os.path.join(out_dir, "metrics")
-        os.makedirs(metrics_dir, exist_ok=True)
-        pq.write_table(
-            pa.table(
-                {
-                    "partition_id": pa.array([m["partition_id"] for m in metrics], pa.int32()),
-                    "stage": pa.array([m["stage"] for m in metrics], pa.string()),
-                    "rows_in": pa.array([m["rows_in"] for m in metrics], pa.int64()),
-                    "rows_out": pa.array([m["rows_out"] for m in metrics], pa.int64()),
-                    "matched_count": pa.array([m["matched_count"] for m in metrics], pa.int64()),
-                    "duration_ms": pa.array([m["duration_ms"] for m in metrics], pa.float64()),
-                },
-                schema=METRICS_SCHEMA,
-            ),
-            os.path.join(metrics_dir, "metrics.parquet"),
-        )
-
-    return KGResult(
-        triples=triples, nodes=nodes, edges=edges, lineage=lineage,
-        metrics=metrics, errors=errors, manufacturers=manufacturers,
-    )
+    extraction = _extraction(turns, batch_size, extractor, extract_concurrency,
+                             extractor_kwargs)
+    return _Run(_records_source(extraction), [_ingest_feed(turns)], n_buckets,
+                num_join_partitions, ckpt, progress).result()
 
 
 def ingest_delta(
@@ -706,39 +652,35 @@ def ingest_delta(
 ) -> KGResult:
     """Incremental ingest — the reference's actual operating mode (a queue
     of NEW documents arriving against an existing graph,
-    processors/queue.py:157-201), as a batch delta:
+    processors/queue.py:157-201), as a batch delta over the same ``STAGES``
+    as ``build_kg``, with two different sources:
 
-      * extraction + assembly run ONLY on the new turns (the expensive
-        per-turn NLP is never repeated for old data);
-      * the prior run's checkpointed ``records`` stage (per-conversation
-        extraction output — orders of magnitude smaller than the turns it
-        came from) replays through the J1 dedup guard together with the new
-        records, so a delta conversation re-describing an existing material
-        is dropped with MATERIAL_ALREADY_INGESTED exactly as a live probe
+      * records: extraction + assembly run ONLY on the new turns (the
+        expensive per-turn NLP is never repeated for old data); the prior
+        run's checkpointed ``records`` stage (per-conversation extraction
+        output — orders of magnitude smaller than the turns it came from)
+        replays through the J1 dedup guard together with the new records,
+        so a delta conversation re-describing an existing material is
+        dropped with MATERIAL_ALREADY_INGESTED exactly as a live probe
         would have done;
-      * linking, the status fold, edge dedup and rollup recompute over the
-        UNION of records — dimension-sized work keyed by the same
-        deterministic order keys the full build uses.
+      * ingest errors: the new turns' scan plus the prior run's persisted
+        ``stage == 'ingest'`` rows.
 
-    Because every downstream stage recomputes from the merged records and
-    every rule is order-keyed (not arrival-keyed), the result is EXACTLY
-    ``build_kg(prior_turns ++ new_turns)`` on every output table — including
-    the hard case where a delta mention merges two previously-distinct
-    entities (canonicalization re-runs over the union, so the merged
-    cluster's winner and the re-folded status match the full build
-    bit-for-bit). Pinned by tests/test_delta_ingest.py.
+    Linking, the status fold, edge dedup and rollup recompute over the
+    UNION of records — dimension-sized work keyed by the same deterministic
+    order keys the full build uses. Because every rule is order-keyed (not
+    arrival-keyed), the result is EXACTLY ``build_kg(prior_turns ++
+    new_turns)`` on every output table — including the hard case where a
+    delta mention merges two previously-distinct entities (canonicalization
+    re-runs over the union, so the merged cluster's winner and the
+    re-folded status match the full build bit-for-bit). Pinned by
+    tests/test_delta_ingest.py.
 
     ``prior_dir`` must be a ``build_kg(out_dir=...)`` checkpoint directory.
-    The delta result is returned lazily/materialized (no out_dir mode yet);
-    write it to a NEW directory to make it the next delta's prior."""
+    The delta runs like ``build_kg`` without ``out_dir`` (lazy outputs, one
+    metrics record per stage); write it to a NEW directory to make it the
+    next delta's prior."""
     import glob
-    import os
-
-    import ray.data as rd
-
-    from ..raylog import install_empty_schema_filter
-
-    install_empty_schema_filter()  # same cold-run hygiene as build_kg
 
     rec_files = sorted(glob.glob(os.path.join(prior_dir, "records", "*.parquet")))
     if not rec_files:
@@ -746,71 +688,10 @@ def ingest_delta(
             f"ingest_delta: no records checkpoint under {prior_dir!r} — the "
             f"prior run must have used build_kg(out_dir=...)"
         )
-    prior_records = rd.read_parquet(rec_files)
-
-    raw_turns = _read_turns(new_turns, ["conv_id", "turn_idx", "text"])
-    turns_ds = raw_turns.map_batches(_validate_split, batch_format="pyarrow")
-    from ..stages.extract import extract_records
-
-    extraction = turns_ds.map_batches(
-        extract_records, batch_format="pyarrow", batch_size=batch_size
-    )
-    # re-dedup over (prior winners+losers ∪ delta): winners keep min order,
-    # prior losers pass through on their error key — composable with the
-    # prior run's own dedup, so the merged table equals the full build's
-    records = dedup_records(
-        prior_records.union(assemble_records(extraction, n_buckets)), n_buckets
-    ).materialize()
-    if records.count() == 0:
-        return _empty_result([])
-
-    clean = records.map_batches(_only_clean, batch_format="pyarrow")
-    chem_mentions = clean.map_batches(explode_chem_mentions, batch_format="pyarrow")
-    mapping = build_chemical_mapping(chem_mentions, n_buckets).materialize()
-    linked = link_chem_mentions(
-        chem_mentions, mapping, num_join_partitions
-    ).materialize()
-    chem_status = fold_chemical_states(linked, n_buckets).materialize()
-    edges = dedup_edges(linked, clean, n_buckets).materialize()
-
-    from ..stages.graph import rollup_status as _rollup
-
-    chem_slim = chem_status.select_columns(
-        ["entity_id", "pfas_status", "pfas_information_source"]
-    ).materialize()
-    ids_all = build_material_identities(clean, n_buckets).materialize()
-    material_status = _rollup(edges, chem_slim, n_buckets, num_join_partitions)
-    material_ids = ids_all.filter(expr="row_kind == 'MAT'").select_columns(
-        ["material_id", "name", "manufacturer"]
-    )
-    mfr_rows = ids_all.filter(expr="row_kind == 'MFR'")
-    nodes = assemble_nodes(
-        material_ids, material_status, mapping, chem_slim,
-        mfr_rows.select_columns(["manufacturer"]), num_join_partitions,
-    )
-    manufacturers = manufacturer_table(mfr_rows)
-
-    triples = clean.map_batches(explode_triples, batch_format="pyarrow")
-    lineage = linked.map_batches(
-        lineage_rows, fn_kwargs={"n_buckets": n_buckets}, batch_format="pyarrow"
-    )
-
-    # errors: merged-record drops + re-folded coercions + NEW ingest scan +
-    # the prior run's persisted ingest-invalid rows (old raw turns are not
-    # re-read)
-    errors = records.map_batches(_record_error_rows, batch_format="pyarrow").union(
-        chem_status.map_batches(_fold_error_rows, batch_format="pyarrow")
-    ).union(
-        _read_turns(new_turns, ["conv_id", "turn_idx"]).map_batches(
-            _invalid_error_rows, batch_format="pyarrow"
-        )
-    )
+    extraction = _extraction(new_turns, batch_size)
+    feeds = [_ingest_feed(new_turns)]
     err_files = sorted(glob.glob(os.path.join(prior_dir, "errors", "*.parquet")))
     if err_files:
-        prior_ingest = rd.read_parquet(err_files).filter(expr="stage == 'ingest'")
-        errors = errors.union(prior_ingest)
-
-    return KGResult(
-        triples=triples, nodes=nodes, edges=edges, lineage=lineage,
-        metrics=[], errors=errors, manufacturers=manufacturers,
-    )
+        feeds.append(("prior", err_files, _ingest_rows, None))
+    return _Run(_records_source(extraction, rec_files), feeds, n_buckets,
+                num_join_partitions).result()

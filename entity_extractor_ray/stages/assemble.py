@@ -19,7 +19,10 @@ per conversation), conversations are hash-bucketed into ``n_buckets`` groups
 (`bucket = hash64(conv_id) % B`) and each *bucket* is assembled in one
 vectorized-ish call — per-call overhead is amortized over thousands of
 conversations, and bucket counts are tunable to cluster size. conv_id is a
-uniform key, so buckets are balanced without salting.
+uniform key, so buckets are balanced without salting. ``assemble_bucket`` is
+the per-bucket function; callers apply it through
+``shuffle.bucket_group_apply`` (or its per-bucket checkpointed twin) on
+``["conv_id"]``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import pyarrow as pa
 
 from ..functions.decision_tables import combine_material_name
 from .extract import GEO_FIELDS, GEO_TYPE, KIND_CODE, unpack_payload_str
-from .shuffle import stable_bucket_array
 
 CHEMICAL_STRUCT = pa.struct(
     [
@@ -75,11 +77,6 @@ RECORD_SCHEMA = pa.schema(
         ("drop_reason", pa.string()),
     ]
 )
-
-
-def add_conv_bucket(batch: pa.Table, n_buckets: int) -> pa.Table:
-    buckets = stable_bucket_array(batch, ["conv_id"], n_buckets)
-    return batch.append_column("bucket", pa.array(buckets, pa.int64()))
 
 
 def assemble_bucket(group: pd.DataFrame) -> pa.Table:
@@ -206,45 +203,6 @@ def assemble_bucket(group: pd.DataFrame) -> pa.Table:
             "drop_reason": pa.array(out_reason, pa.string()),
         },
         schema=RECORD_SCHEMA,
-    )
-
-
-def assemble_records(extraction_ds, n_buckets: int = 64):
-    """extraction rows Dataset -> records Dataset (RECORD_SCHEMA), via a
-    single groupby shuffle on the conversation hash bucket."""
-    bucketed = extraction_ds.map_batches(
-        add_conv_bucket,
-        fn_kwargs={"n_buckets": n_buckets},
-        batch_format="pyarrow",
-    )
-    return bucketed.groupby("bucket").map_groups(
-        assemble_bucket, batch_format="pandas"
-    )
-
-
-def assemble_records_partitioned(
-    extraction_ds, parts_dir: str, n_buckets: int = 64, fingerprint: str = ""
-):
-    """assemble_records with PER-PARTITION resume (the reference resumes
-    mid-document at page granularity, file_analysis_service.py:212-253; the
-    batch analog is per-bucket commit INSIDE a stage):
-
-    each conv-hash bucket's assemble task writes its own
-    ``part-<bucket>.parquet`` atomically (tmp + rename) as it completes. A
-    rerun lists the committed parts, filters the shuffle input to MISSING
-    buckets only, and rebuilds just those — a stage that dies at 95%
-    restarts from 95%, not 0%. The stateless extract map upstream re-streams
-    (it is never cheaper to checkpoint raw map output than to re-run it);
-    the committed artifact is the post-shuffle assembly. ``fingerprint``
-    (params + input identity) guards against stale parts. Delegates to the
-    generalized shuffle.bucket_group_apply_partitioned (same bucket hash as
-    add_conv_bucket: stable_bucket_array over conv_id)."""
-    from .shuffle import bucket_group_apply_partitioned
-
-    return bucket_group_apply_partitioned(
-        extraction_ds, ["conv_id"],
-        lambda df, b: assemble_bucket(df),
-        n_buckets, parts_dir, fingerprint, RECORD_SCHEMA,
     )
 
 

@@ -239,9 +239,12 @@ def _last_per_edge_key(t: pa.Table) -> pa.Table:
     return s.filter(pa.array(last_of_run))
 
 
-def _edge_pick_last(t: pa.Table, bucket_id: int) -> pa.Table:
-    """J4 upsert: per (src, dst, pred) the LAST-processed weight wins.
-    Arrow-native bucket fn (arrow_groups path) — the group never converts
+def edge_pick_last(t: pa.Table, bucket_id: int) -> pa.Table:
+    """J4 upsert of BOTH edge families, one bucket of a (src, dst)
+    shuffle over ``edge_candidates``: per (src, dst, pred) the
+    LAST-processed weight wins (artifact_ingestor_service.py:1086-1106).
+    Per-key multiplicity is bounded by the J1 guard, so no
+    pre-aggregation is needed. Arrow-native bucket fn (arrow_groups path) — the group never converts
     to pandas object dtype."""
     lasts = _last_per_edge_key(t)
     return pa.table(
@@ -306,90 +309,7 @@ def edge_candidates(linked_ds, records_ds):
     return cont.union(made)
 
 
-def dedup_edges(linked_ds, records_ds, n_buckets: int = 64):
-    """J4 edge upsert for BOTH edge families in one bucket shuffle on
-    (src, dst); per (src, dst, pred) the last-processed weight wins
-    (artifact_ingestor_service.py:1086-1106). Per-key multiplicity is
-    bounded by the J1 guard, so no pre-aggregation is needed."""
-    from .shuffle import bucket_group_apply_arrow
-
-    return bucket_group_apply_arrow(
-        edge_candidates(linked_ds, records_ds), ["src", "dst"],
-        _edge_pick_last, n_buckets,
-    )
-
-
-def dedup_edges_partitioned(linked_ds, records_ds, parts_dir: str,
-                            n_buckets: int = 64, fingerprint: str = ""):
-    """dedup_edges with per-bucket resumable commits: each (src, dst) hash
-    bucket's dedup result lands as its own atomically-renamed part file in
-    ``parts_dir`` (shuffle.bucket_group_apply_partitioned), so a death
-    mid-edges resumes from the finished buckets."""
-    from .shuffle import bucket_group_apply_partitioned
-
-    return bucket_group_apply_partitioned(
-        edge_candidates(linked_ds, records_ds), ["src", "dst"],
-        _edge_pick_last, n_buckets, parts_dir, fingerprint, EDGES_SCHEMA,
-        arrow_groups=True,
-    )
-
-
 # ------------------------------------------------------------------ rollup
-
-_STATUS_RANK = {"NO": 0, "PENDING": 1, "YES": 2}
-_RANK_STATUS = {0: "NO", 1: "PENDING", 2: "YES"}
-# preference rank per (parent PENDING?, source): lower = preferred;
-# unlisted sources never win the vote (rank 99)
-_PREF_PENDING = {"OECD": 0, "VAI": 1, "MANUAL": 2}
-_PREF_OTHER = {"VAI": 0, "OECD": 1, "MANUAL": 2}
-_PREF_INV_PENDING = {v: k for k, v in _PREF_PENDING.items()}
-_PREF_INV_OTHER = {v: k for k, v in _PREF_OTHER.items()}
-
-
-def _resolve_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
-    """One hash bucket of (src, child status, child source) edge rows:
-    per parent apply the reference lattice + source vote — fully vectorized
-    (the lattice is max() over a status rank; the vote is min() over a
-    per-status preference rank restricted to voters), semantics identical
-    to functions.decision_tables.parent_pfas_resolution."""
-    rank = df["pfas_status"].map(_STATUS_RANK).fillna(1)
-    parent_rank = rank.groupby(df["src"], sort=False).transform("max")
-    parent_status_row = parent_rank.map(_RANK_STATUS)
-
-    is_pending_parent = parent_rank == 1
-    pref = pd.Series(
-        np.where(
-            is_pending_parent,
-            df["pfas_information_source"].map(_PREF_PENDING).fillna(99),
-            df["pfas_information_source"].map(_PREF_OTHER).fillna(99),
-        ),
-        index=df.index,
-    )
-    # only children whose status equals the parent's resolved status vote
-    voter = df["pfas_status"].map(_STATUS_RANK).fillna(1) == parent_rank
-    pref = pref.where(voter, 99)
-
-    g = pd.DataFrame(
-        {"src": df["src"], "status": parent_status_row, "pref": pref,
-         "pending": is_pending_parent}
-    ).groupby("src", sort=False).agg(
-        status=("status", "first"), pref=("pref", "min"), pending=("pending", "first")
-    ).reset_index()
-
-    src_out = g["src"].tolist()
-    status_out = g["status"].tolist()
-    source_out = [
-        (_PREF_INV_PENDING if pend else _PREF_INV_OTHER).get(int(p), SRC_NONE)
-        for p, pend in zip(g["pref"], g["pending"])
-    ]
-    return pa.table(
-        {
-            "entity_id": pa.array(src_out, pa.string()),
-            "pfas_status": pa.array(status_out, pa.string()),
-            "pfas_information_source": pa.array(source_out, pa.string()),
-        }
-    )
-
 
 _ROLLUP_AGGS = [
     ("r", "max"), ("pp0", "min"), ("po0", "min"),
@@ -406,8 +326,10 @@ _ROLLUP_SCHEMA = pa.schema(
      ("pfas_information_source", pa.string())]
 )
 # index_in order: OECD→0, VAI→1, MANUAL→2, unlisted/null→3
-_PP_LUT = np.array([0, 1, 2, 99], dtype=np.int8)   # _PREF_PENDING by index
-_PO_LUT = np.array([1, 0, 2, 99], dtype=np.int8)   # _PREF_OTHER by index
+# preference rank per (parent PENDING?, source): lower = preferred;
+# unlisted sources never win the vote (rank 99)
+_PP_LUT = np.array([0, 1, 2, 99], dtype=np.int8)   # PENDING parent: OECD, VAI, MANUAL
+_PO_LUT = np.array([1, 0, 2, 99], dtype=np.int8)   # other parents: VAI, OECD, MANUAL
 _SRC_SET = pa.array(["OECD", "VAI", "MANUAL"], pa.string())
 _STATUS_SET = pa.array(["NO", "PENDING", "YES"], pa.string())
 
@@ -507,8 +429,9 @@ def rollup_status(edges_ds, child_status_ds, n_buckets: int = 64, num_partitions
     Round 4: the resolution now travels as mergeable max/min sufficient
     statistics (``_rollup_partial``) combined map-side per batch BEFORE the
     parent shuffle — semantics identical to the row-level
-    ``_resolve_bucket`` (kept above as the executable spec; equality pinned
-    by tests/test_rollup_fixed_point.py and the kg e2e oracle tests)."""
+    ``functions.decision_tables.parent_pfas_resolution`` (equality pinned
+    against a row-level spec by tests/test_rollup_partials.py, and by
+    tests/test_rollup_fixed_point.py and the kg e2e oracle tests)."""
     from .shuffle import bucket_group_apply_arrow, lookup_join
 
     contains = edges_ds.filter(expr="pred == 'CONTAINS'").select_columns(["src", "dst"])

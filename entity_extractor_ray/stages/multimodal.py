@@ -143,7 +143,7 @@ def read_media_files(media_dir: str):
     return ds.map_batches(parse, batch_format="pyarrow")
 
 
-def media_file_features(media_dir: str, concurrency: int = 2, batch_size: int = 16):
+def media_file_features(media_dir: str, concurrency=(1, 2), batch_size: int = 16):
     """read_binary_files -> actor-pool decode -> (item_id, mime, n_bytes,
     payload_md5): the oracle-comparable binary-ingestion query (DuckDB side:
     media_file_features_sql)."""
@@ -250,7 +250,7 @@ class ImageDecodeStub:
         )
 
 
-def decode_media(media_ds, concurrency: int = 2, batch_size: int = 16,
+def decode_media(media_ds, concurrency=(1, 2), batch_size: int = 16,
                  strict: bool = False):
     """Binary payloads need SMALL batches (batch_size * payload * concurrency
     must fit worker heaps) — the knob is exposed and defaulted low."""
@@ -363,7 +363,7 @@ class ImageResizeStub:
 
 
 def resize_media(media_ds, target_w: int = 32, target_h: int = 32,
-                 concurrency: int = 2, batch_size: int = 16,
+                 concurrency=(1, 2), batch_size: int = 16,
                  strict: bool = False):
     """Same small-batch discipline as decode_media: batch_size * payload *
     concurrency must fit worker heaps; output rows are bounded at

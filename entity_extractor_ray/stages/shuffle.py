@@ -219,21 +219,22 @@ def bucket_group_apply_partitioned(
     bucket_fn: Callable[[pd.DataFrame, int], pa.Table],
     n_buckets: int,
     parts_dir: str,
-    fingerprint: str,
     empty_schema: pa.Schema,
     arrow_groups: bool = False,
 ):
-    """``bucket_group_apply`` with PER-BUCKET resumable commits (the pattern
-    assemble.assemble_records_partitioned introduced, generalized): each
-    bucket task writes its own ``part-<bucket>.parquet`` atomically
-    (tmp + rename) as it completes. A rerun lists committed parts, filters
-    the shuffle input to MISSING buckets only, and rebuilds just those — a
-    stage dying at 95% restarts from 95%. ``fingerprint`` (params + input
-    identity, stored as ``_FP``) guards against stale parts; buckets that
-    received zero rows commit an explicit empty part with ``empty_schema``.
-    Returns a Dataset reading the committed parts. parts_dir must be on
-    storage shared by all workers (single node here; a real cluster points
-    it at shared storage)."""
+    """``bucket_group_apply`` with PER-BUCKET resumable commits (the
+    reference resumes mid-document at page granularity,
+    file_analysis_service.py:212-253; the batch analog is a per-bucket
+    commit inside a stage): each bucket task writes its own
+    ``part-<bucket>.parquet`` atomically (tmp + rename) as it completes. A
+    rerun lists committed parts, filters the shuffle input to MISSING
+    buckets only, and rebuilds just those — a stage dying at 95% restarts
+    from 95%. The caller owns staleness: ``parts_dir`` must hold only parts
+    of the current parameters and input (CheckpointManager.parts_dir).
+    Buckets that received zero rows commit an explicit empty part with
+    ``empty_schema``. Returns a Dataset reading the committed parts.
+    parts_dir must be on storage shared by all workers (single node here;
+    a real cluster points it at shared storage)."""
     import glob as _glob
     import os
 
@@ -242,16 +243,6 @@ def bucket_group_apply_partitioned(
     import ray.data as rd
 
     os.makedirs(parts_dir, exist_ok=True)
-    fp_path = os.path.join(parts_dir, "_FP")
-    stale = True
-    if os.path.exists(fp_path):
-        with open(fp_path) as fh:
-            stale = fh.read() != fingerprint
-    if stale:
-        for f in _glob.glob(os.path.join(parts_dir, "part-*.parquet")):
-            os.remove(f)
-        with open(fp_path, "w") as fh:
-            fh.write(fingerprint)
 
     def part_path(b: int) -> str:
         return os.path.join(parts_dir, f"part-{b:05d}.parquet")
@@ -831,16 +822,13 @@ def lookup_join(
         # zero-row right side: recover its schema so the join still emits
         # the right-hand columns (as nulls for "left", empty for "inner")
         right_schema = arrow_schema(right_mat.schema())
-    # clash detection without executing the left side; unknown schema (lazy
-    # chain, fetch declined) => assume disjoint names (true for all engine
-    # call sites) and skip suffixing
-    l_schema = left.schema(fetch_if_missing=False)
-    l_names = set(l_schema.names) if l_schema is not None else set()
-    rename = {
-        n: (key if n == right_key else (n + suffix if n in l_names else n))
+    # the right key takes the left key's name (a right column already named
+    # like it always clashes); other clashes are suffixed per batch in
+    # ``probe``, where the left columns are known without executing the left
+    renamed_names = [
+        key if n == right_key else (n + suffix if n == key else n)
         for n in right_schema.names
-    }
-    renamed_names = [rename[n] for n in right_schema.names]
+    ]
     # broadcast as block REFS (zero driver copy; on one node the worker's
     # ray.get is a local zero-copy plasma read); each WORKER builds the
     # keyed lookup index ONCE and reuses it across batches via a
@@ -868,9 +856,12 @@ def lookup_join(
                 pos, pa.int64(), mask=miss if miss.any() else None
             )
         taken = r_cols.take(take_idx)
+        l_names = set(t.column_names)
         out = t
         for n in r_names:
-            out = out.append_column(n, taken.column(n))
+            out = out.append_column(
+                n + suffix if n in l_names else n, taken.column(n)
+            )
         return out
 
     return left.map_batches(probe, batch_format="pyarrow")

@@ -3,9 +3,10 @@
 The reference gets resumability from page-level blob checkpoints + lock files
 (file_analysis_service.py:212-253, 429-465) and stage-level run-state rows
 (artifact_upload_run_state_details.py). The batch-engine equivalent
-(SURVEY.md §4): every stage writes its output Parquet to a temp directory,
-renames it into place atomically, and commits a `_SUCCESS` manifest LAST
-(JSON: row count, file list, parameters fingerprint). On restart a completed
+(SURVEY.md §4): every stage writes its output Parquet to a temp directory
+and renames it into place, or commits one atomic part file per bucket or
+source shard, and then commits a `_SUCCESS` manifest LAST (JSON: row count,
+file list, parameters fingerprint). On restart a completed
 stage is skipped by reading the manifest before rebuilding its Dataset —
 at-least-once task retries become exactly-once stage outputs because the
 rename+manifest is the only commit point.
@@ -52,11 +53,11 @@ def input_fingerprint(paths) -> str:
 class CheckpointManager:
     """Stage-level checkpoint registry rooted at one output directory.
 
-    ``min_rows_per_file`` coalesces write blocks: without it a stage whose
-    plan unions many small blocks (the nodes assembly) commits one tiny
-    Parquet file PER BLOCK — measured 245 files / 11.5s vs 6 files / 7.6s
-    for the same 570k-row table — and every file costs a write task, a
-    driver-side metadata read and a resume-read fragment.
+    ``run``'s ``min_rows_per_file`` coalesces write blocks: without it a
+    stage whose plan unions many small blocks (the nodes assembly) commits
+    one tiny Parquet file PER BLOCK — measured 245 files / 11.5s vs 6 files
+    / 7.6s for the same 570k-row table — and every file costs a write task,
+    a driver-side metadata read and a resume-read fragment.
 
     File size is a per-stage tunable on ``run``: Ray's parquet reader
     parallelizes at FILE granularity (a file never splits across read
@@ -65,83 +66,92 @@ class CheckpointManager:
     4×65536-row files caps every downstream scan at 4 tasks. Terminal
     outputs keep the large default (fewer files, cheaper commit)."""
 
-    def __init__(self, root: str, params_fingerprint: str = "",
-                 min_rows_per_file: int = 65536):
+    def __init__(self, root: str, params_fingerprint: str = ""):
         self.root = root
         self.fingerprint = params_fingerprint
-        self.min_rows_per_file = min_rows_per_file
         os.makedirs(root, exist_ok=True)
-        self.stage_metrics = []  # (stage, rows_out, duration_ms, skipped)
 
     def stage_dir(self, name: str) -> str:
         return os.path.join(self.root, name)
 
     def is_done(self, name: str) -> bool:
-        path = os.path.join(self.stage_dir(name), MANIFEST)
-        if not os.path.exists(path):
-            return False
-        try:
-            with open(path) as fh:
-                manifest = json.load(fh)
-            return manifest.get("fingerprint", "") == self.fingerprint
-        except (json.JSONDecodeError, OSError):
-            return False
+        m = self.manifest(name)
+        return m is not None and m.get("fingerprint", "") == self.fingerprint
 
     def manifest(self, name: str) -> Optional[dict]:
-        path = os.path.join(self.stage_dir(name), MANIFEST)
-        if not os.path.exists(path):
+        """The stage's committed manifest; None when absent or unreadable."""
+        try:
+            with open(os.path.join(self.stage_dir(name), MANIFEST)) as fh:
+                return json.load(fh)
+        except (json.JSONDecodeError, OSError):
             return None
-        with open(path) as fh:
-            return json.load(fh)
+
+    def parts_dir(self, name: str) -> str:
+        """The directory a builder commits its own ``part-*`` files into
+        (per-bucket or per-shard resume). Parts left by another fingerprint
+        (params or input changed; recorded in ``_FP``) are cleared, as is a
+        stale manifest; parts of this fingerprint survive, so a rerun only
+        writes the missing ones."""
+        out = self.stage_dir(name)
+        os.makedirs(out, exist_ok=True)
+        if os.path.exists(os.path.join(out, MANIFEST)):
+            os.remove(os.path.join(out, MANIFEST))
+        fp_path = os.path.join(out, "_FP")
+        if os.path.exists(fp_path):
+            with open(fp_path) as fh:
+                if fh.read() == self.fingerprint:
+                    return out
+        for f in os.listdir(out):
+            if f.startswith("part-"):
+                os.remove(os.path.join(out, f))
+        with open(fp_path, "w") as fh:
+            fh.write(self.fingerprint)
+        return out
 
     def run(self, name: str, build: Callable[[], "ray.data.Dataset"],  # noqa: F821
-            min_rows_per_file: Optional[int] = None,
+            min_rows_per_file: int = 65536,
             max_rows_per_file: Optional[int] = None):
         """Run (or skip) one stage; returns a Dataset reading the committed
-        Parquet. ``build()`` must return the stage's output Dataset.
-        ``min/max_rows_per_file`` override the manager default for this
-        stage (small files for re-read checkpoints, large for terminals)."""
-        import ray.data as rd
-
+        Parquet. ``build()`` either returns the stage's output Dataset,
+        written here through a temp dir renamed into place, or commits its
+        own part files into ``parts_dir(name)`` and returns None.
+        ``min/max_rows_per_file`` size the files of a written Dataset (small
+        for re-read checkpoints, the large default for terminals).
+        The ``_SUCCESS`` manifest commits LAST in both cases."""
         out = self.stage_dir(name)
         if self.is_done(name):
-            m = self.manifest(name)
-            self.stage_metrics.append(
-                {"stage": name, "rows_out": m["rows"], "duration_ms": 0.0, "skipped": True}
-            )
             return read_parquet_clean(out)
 
         from ..stats import meter_snapshot, snapshot_delta
 
         snap0 = meter_snapshot()
         t0 = time.perf_counter()
-        tmp = out + ".tmp"
-        if os.path.exists(tmp):
-            shutil.rmtree(tmp)
-        if os.path.exists(out):
-            shutil.rmtree(out)
         ds = build()
-        ds.write_parquet(
-            tmp,
-            min_rows_per_file=(
-                self.min_rows_per_file if min_rows_per_file is None
-                else min_rows_per_file
-            ),
-            max_rows_per_file=max_rows_per_file,
-        )
-        # an empty stage writes no files (and possibly no directory): commit
-        # an explicit zero-row parquet carrying the schema so the rename and
-        # the later read_parquet stay uniform
-        os.makedirs(tmp, exist_ok=True)
-        if not any(f.endswith(".parquet") for f in os.listdir(tmp)):
-            arrow_schema = getattr(ds.schema(), "base_schema", None)
-            if arrow_schema is None:
-                raise RuntimeError(
-                    f"stage {name!r} produced no rows and its schema is "
-                    "unavailable; cannot commit an empty checkpoint"
-                )
-            pq.write_table(arrow_schema.empty_table(), os.path.join(tmp, "empty_0.parquet"))
-        os.rename(tmp, out)
+        if ds is not None:
+            tmp = out + ".tmp"
+            if os.path.exists(tmp):
+                shutil.rmtree(tmp)
+            if os.path.exists(out):
+                shutil.rmtree(out)
+            ds.write_parquet(
+                tmp,
+                min_rows_per_file=min_rows_per_file,
+                max_rows_per_file=max_rows_per_file,
+            )
+            # an empty stage writes no files (and possibly no directory):
+            # commit an explicit zero-row parquet carrying the schema so the
+            # rename and the later read_parquet stay uniform
+            os.makedirs(tmp, exist_ok=True)
+            if not any(f.endswith(".parquet") for f in os.listdir(tmp)):
+                arrow_schema = getattr(ds.schema(), "base_schema", None)
+                if arrow_schema is None:
+                    raise RuntimeError(
+                        f"stage {name!r} produced no rows and its schema is "
+                        "unavailable; cannot commit an empty checkpoint"
+                    )
+                pq.write_table(arrow_schema.empty_table(),
+                               os.path.join(tmp, "empty_0.parquet"))
+            os.rename(tmp, out)
 
         rows = 0
         files = []
@@ -149,7 +159,6 @@ class CheckpointManager:
             if fname.endswith(".parquet"):
                 files.append(fname)
                 rows += pq.read_metadata(os.path.join(out, fname)).num_rows
-        duration_ms = (time.perf_counter() - t0) * 1000
         # exchange-byte attribution: meter-snapshot delta across the stage
         # (counts EVERY engine shuffle the build ran, incl. interior
         # materialize boundaries — stats.py)
@@ -159,248 +168,52 @@ class CheckpointManager:
             "rows": rows,
             "files": files,
             "fingerprint": self.fingerprint,
-            "duration_ms": duration_ms,
+            "duration_ms": (time.perf_counter() - t0) * 1000,
             "exchange_bytes": ex["exchange_bytes"] if ex else None,
             "exchange_rows": ex["exchange_rows"] if ex else None,
             "exchange_tags": ex["tags"] if ex else None,
         }
         with open(os.path.join(out, MANIFEST), "w") as fh:
             json.dump(manifest, fh)
-        self.stage_metrics.append(
-            {"stage": name, "rows_out": rows, "duration_ms": duration_ms, "skipped": False}
-        )
         return read_parquet_clean(out)
 
-    def run_partitioned(self, name: str, build_parts):
-        """Stage whose builder commits per-BUCKET part files directly into
-        the stage directory — resume granularity is the bucket and the parts
-        ARE the stage output (no second copy through ``run``'s write).
 
-        ``build_parts(stage_dir)`` must write ``part-*.parquet`` files
-        atomically, skip already-committed parts, honor its own ``_FP``
-        staleness guard, and return a Dataset reading them — the exact shape
-        ``shuffle.bucket_group_apply_partitioned`` provides. The ``_SUCCESS``
-        manifest still commits LAST, so stage-level ``is_done`` semantics are
-        identical to ``run``."""
-        import ray.data as rd
+def write_shards(out: str, feeds) -> None:
+    """Per-INPUT-SHARD commits for MAP-ONLY stages: ``feeds`` is
+    ``[(tag, src_files, transform, read_columns), ...]`` and
+    ``transform(table) -> table`` runs on each source file on its own, one
+    task per file, no shuffle. Each result commits atomically (tmp +
+    rename) as ``part-<tag>-<index>.parquet``, or ``part-<source
+    stem>.parquet`` for an untagged feed; committed parts are skipped, so
+    a terminal write that dies at 95% restarts from 95%. The resume key is
+    the deterministic source file, never a key-hash repartition. Only for
+    per-row transforms: each output row derives from one input file."""
+    import ray.data as rd
 
-        out = self.stage_dir(name)
-        if self.is_done(name):
-            m = self.manifest(name)
-            self.stage_metrics.append(
-                {"stage": name, "rows_out": m["rows"], "duration_ms": 0.0, "skipped": True}
-            )
-            return read_parquet_clean(out)
+    todo = []
+    for k, (tag, files, _, _) in enumerate(feeds):
+        for i, f in enumerate(files):
+            stem = f"{tag}-{i:05d}" if tag else os.path.splitext(os.path.basename(f))[0]
+            part = f"part-{stem}.parquet"
+            if not os.path.exists(os.path.join(out, part)):
+                todo.append({"path": f, "part": part, "feed": k})
+    if not todo:
+        return
 
-        from ..stats import meter_snapshot, snapshot_delta
+    def process(batch):
+        import pyarrow as pa
 
-        snap0 = meter_snapshot()
-        t0 = time.perf_counter()
-        mpath = os.path.join(out, MANIFEST)
-        if os.path.exists(mpath):
-            os.remove(mpath)  # stale manifest (parameters/input changed)
-        ds = build_parts(out)
+        for src, part, k in zip(batch["path"], batch["part"], batch["feed"]):
+            _, _, transform, columns = feeds[k]
+            result = transform(pq.read_table(src, columns=columns))
+            tmp = os.path.join(out, part + f".tmp-{os.getpid()}")
+            pq.write_table(result, tmp)
+            os.replace(tmp, os.path.join(out, part))
+        return pa.table({"path": pa.array(list(batch["path"]))})
 
-        rows, files = 0, []
-        for fname in sorted(os.listdir(out)):
-            if fname.endswith(".parquet"):
-                files.append(fname)
-                rows += pq.read_metadata(os.path.join(out, fname)).num_rows
-        duration_ms = (time.perf_counter() - t0) * 1000
-        ex = snapshot_delta(snap0, meter_snapshot())
-        manifest = {
-            "stage": name,
-            "rows": rows,
-            "files": files,
-            "fingerprint": self.fingerprint,
-            "duration_ms": duration_ms,
-            "partitioned": True,
-            "exchange_bytes": ex["exchange_bytes"] if ex else None,
-            "exchange_rows": ex["exchange_rows"] if ex else None,
-            "exchange_tags": ex["tags"] if ex else None,
-        }
-        with open(mpath, "w") as fh:
-            json.dump(manifest, fh)
-        self.stage_metrics.append(
-            {"stage": name, "rows_out": rows, "duration_ms": duration_ms, "skipped": False}
-        )
-        return ds
-
-    def run_sharded_multi(self, name: str, groups):
-        """``run_sharded`` for a stage whose output is the UNION of several
-        map-only sources (the errors side-channel: record drops + fold
-        coercions + ingest-invalid rows), committed into ONE stage dir.
-
-        ``groups`` is ``[(tag, src_files, transform, read_columns), ...]``;
-        each source file commits as ``part-<tag>-<stem>.parquet`` (tmp +
-        rename, atomic), so a rerun rebuilds only missing parts across all
-        groups — a death mid-errors-stage resumes from the finished shards
-        (VERDICT r4 #8: at 100x the errors table is not dimension-sized).
-        Same stage semantics as run_sharded: manifest commits LAST,
-        ``is_done`` short-circuits, stale fingerprint clears parts."""
-        import ray.data as rd
-
-        out = self.stage_dir(name)
-        if self.is_done(name):
-            m = self.manifest(name)
-            self.stage_metrics.append(
-                {"stage": name, "rows_out": m["rows"], "duration_ms": 0.0,
-                 "skipped": True}
-            )
-            return read_parquet_clean(out)
-
-        t0 = time.perf_counter()
-        os.makedirs(out, exist_ok=True)
-        fp_path = os.path.join(out, "_FP")
-        stale = True
-        if os.path.exists(fp_path):
-            with open(fp_path) as fh:
-                stale = fh.read() != self.fingerprint
-        if stale:
-            for f in os.listdir(out):
-                if f.startswith("part-"):
-                    os.remove(os.path.join(out, f))
-            with open(fp_path, "w") as fh:
-                fh.write(self.fingerprint)
-
-        # part names carry tag + a stable per-group index (file lists are
-        # sorted and deterministic), so stems may collide across source
-        # dirs without clobbering
-        transforms = {tag: (tf, cols) for tag, _, tf, cols in groups}
-        todo = [
-            {"path": f, "tag": tag, "part": f"part-{tag}-{i:05d}.parquet"}
-            for tag, files, _, _ in groups
-            for i, f in enumerate(files)
-            if not os.path.exists(
-                os.path.join(out, f"part-{tag}-{i:05d}.parquet")
-            )
-        ]
-
-        if todo:
-            def process(batch):
-                import pyarrow as pa
-
-                for src, tag, pname in zip(
-                    batch["path"], batch["tag"], batch["part"]
-                ):
-                    tf, cols = transforms[tag]
-                    table = pq.read_table(src, columns=cols)
-                    result = tf(table)
-                    tmp = os.path.join(out, pname + f".tmp-{os.getpid()}")
-                    pq.write_table(result, tmp)
-                    os.replace(tmp, os.path.join(out, pname))
-                return pa.table({"path": pa.array(list(batch["path"]))})
-
-            rd.from_items(todo).map_batches(
-                process, batch_size=1, batch_format="pandas"
-            ).materialize()
-
-        rows, files = 0, []
-        for fname in sorted(os.listdir(out)):
-            if fname.endswith(".parquet"):
-                files.append(fname)
-                rows += pq.read_metadata(os.path.join(out, fname)).num_rows
-        duration_ms = (time.perf_counter() - t0) * 1000
-        manifest = {
-            "stage": name,
-            "rows": rows,
-            "files": files,
-            "fingerprint": self.fingerprint,
-            "duration_ms": duration_ms,
-            "sharded": True,
-        }
-        with open(os.path.join(out, MANIFEST), "w") as fh:
-            json.dump(manifest, fh)
-        self.stage_metrics.append(
-            {"stage": name, "rows_out": rows, "duration_ms": duration_ms,
-             "skipped": False}
-        )
-        return read_parquet_clean(out)
-
-    def run_sharded(self, name: str, src_files, transform,
-                    read_columns=None):
-        """Per-INPUT-SHARD resumable terminal sink for MAP-ONLY stages.
-
-        ``transform(table) -> table`` is applied to each source Parquet file
-        independently and the result committed as its own
-        ``part-<src-stem>.parquet`` (tmp + rename, atomic). A rerun skips
-        committed parts — a death at 95% of a terminal write restarts from
-        95%, with NO added shuffle (the resume key is the deterministic
-        upstream checkpoint file, not a key-hash repartition; upstream
-        files are already sized for read parallelism).
-
-        Stage-level semantics stay identical to ``run``: a ``_SUCCESS``
-        manifest commits LAST; ``is_done`` short-circuits the whole stage;
-        a stale fingerprint clears all parts first. Only valid for
-        per-row/stateless transforms (each output row derives from one
-        input file) — anything with cross-file state must go through
-        ``run``."""
-        import ray.data as rd
-
-        out = self.stage_dir(name)
-        if self.is_done(name):
-            m = self.manifest(name)
-            self.stage_metrics.append(
-                {"stage": name, "rows_out": m["rows"], "duration_ms": 0.0, "skipped": True}
-            )
-            return read_parquet_clean(out)
-
-        t0 = time.perf_counter()
-        os.makedirs(out, exist_ok=True)
-        fp_path = os.path.join(out, "_FP")
-        stale = True
-        if os.path.exists(fp_path):
-            with open(fp_path) as fh:
-                stale = fh.read() != self.fingerprint
-        if stale:
-            for f in os.listdir(out):
-                if f.startswith("part-"):
-                    os.remove(os.path.join(out, f))
-            with open(fp_path, "w") as fh:
-                fh.write(self.fingerprint)
-
-        def part_name(src: str) -> str:
-            return "part-" + os.path.splitext(os.path.basename(src))[0] + ".parquet"
-
-        todo = [f for f in src_files if not os.path.exists(os.path.join(out, part_name(f)))]
-
-        if todo:
-            def process(batch):
-                import pyarrow as pa
-
-                for src in batch["path"]:
-                    table = pq.read_table(src, columns=read_columns)
-                    result = transform(table)
-                    tmp = os.path.join(out, part_name(src) + f".tmp-{os.getpid()}")
-                    pq.write_table(result, tmp)
-                    os.replace(tmp, os.path.join(out, part_name(src)))
-                return pa.table({"path": pa.array(list(batch["path"]))})
-
-            # one task per source file: embarrassingly parallel, no shuffle
-            rd.from_items([{"path": f} for f in todo]).map_batches(
-                process, batch_size=1, batch_format="pandas"
-            ).materialize()
-
-        rows, files = 0, []
-        for fname in sorted(os.listdir(out)):
-            if fname.endswith(".parquet"):
-                files.append(fname)
-                rows += pq.read_metadata(os.path.join(out, fname)).num_rows
-        duration_ms = (time.perf_counter() - t0) * 1000
-        manifest = {
-            "stage": name,
-            "rows": rows,
-            "files": files,
-            "fingerprint": self.fingerprint,
-            "duration_ms": duration_ms,
-            "sharded": True,
-        }
-        with open(os.path.join(out, MANIFEST), "w") as fh:
-            json.dump(manifest, fh)
-        self.stage_metrics.append(
-            {"stage": name, "rows_out": rows, "duration_ms": duration_ms, "skipped": False}
-        )
-        return read_parquet_clean(out)
+    rd.from_items(todo).map_batches(
+        process, batch_size=1, batch_format="pandas"
+    ).materialize()
 
 
 def status(out_dir: str) -> list:
@@ -409,26 +222,21 @@ def status(out_dir: str) -> list:
     /artifact_upload/status, artifact_upload_service.py): one dict per
     committed stage from the on-disk manifests, no Ray session needed.
 
-    Returns [{stage, rows, files, duration_s, fingerprint}] in commit order
-    (manifest mtime). A stage directory without a manifest (in-flight or
-    died pre-commit) is reported with rows=None so partial runs are visible.
-    Also prints a small fixed-width table when ``print`` resolves truthy —
-    call as a library (``status(dir)``) or
-    ``python -m entity_extractor_ray.state.checkpoint <out_dir>``."""
+    Returns [{stage, rows, files, duration_s, fingerprint, committed}] in
+    commit order (manifest mtime). A stage directory without a readable
+    manifest (in-flight or died pre-commit) is reported with rows=None so
+    partial runs are visible. ``python -m entity_extractor_ray.state.checkpoint
+    <out_dir>`` prints it as a table."""
     entries = []
     if not os.path.isdir(out_dir):
         return entries
+    manifest = CheckpointManager(out_dir).manifest
     for name in sorted(os.listdir(out_dir)):
         stage_dir = os.path.join(out_dir, name)
         if not os.path.isdir(stage_dir):
             continue
-        mpath = os.path.join(stage_dir, MANIFEST)
-        if os.path.exists(mpath):
-            try:
-                with open(mpath) as fh:
-                    m = json.load(fh)
-            except (json.JSONDecodeError, OSError):
-                m = {}
+        m = manifest(name)
+        if m is not None:
             entries.append(
                 {
                     "stage": m.get("stage", name),
@@ -437,7 +245,7 @@ def status(out_dir: str) -> list:
                     "duration_s": round(m.get("duration_ms", 0.0) / 1000, 2),
                     "fingerprint": m.get("fingerprint", ""),
                     "committed": True,
-                    "_mtime": os.path.getmtime(mpath),
+                    "_mtime": os.path.getmtime(os.path.join(stage_dir, MANIFEST)),
                 }
             )
         else:

@@ -69,6 +69,21 @@ def test_bucket_join_keeps_the_left_side_lazy(ray_session, tmp_path):
     assert _calls(log_l) == 3 and _calls(log_r) == 4
 
 
+def test_lookup_join_suffixes_a_clash_with_a_lazy_left_side(ray_session):
+    """A lazy left side (filter, map_batches) has no schema until it runs;
+    a non-key column it shares with the right side still gets the suffix
+    on the broadcast path, as it does on the bucket path."""
+    right = rd.from_arrow(pa.table({"k": [1, 2, 3], "v": ["r1", "r2", "r3"]}))
+    base = rd.from_arrow(pa.table({"k": [1, 2, 3, 4], "v": [10, 20, 30, 40]}))
+    for left in (base.filter(expr="k > 1"),
+                 base.map_batches(lambda t: t, batch_format="pyarrow")):
+        got = lookup_join(left, right, key="k").to_pandas().sort_values("k")
+        assert list(got.columns) == ["k", "v", "v_r"]
+        want = [(k, 10 * k, f"r{k}") for k in (1, 2, 3) if k in got["k"].tolist()]
+        assert list(got.itertuples(index=False, name=None)) == want
+        assert len(want) == len(got) >= 2
+
+
 def test_materialize_blocks_reads_metadata_and_drops_fillers(ray_session):
     ds = rd.range(40, override_num_blocks=4).filter(expr="id < 10")
     blocks = materialize_blocks(ds)

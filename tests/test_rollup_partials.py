@@ -1,18 +1,73 @@
 """The map-side mergeable rollup (graph._rollup_partial + _rollup_merge_bucket)
-must be EXACTLY the row-level spec (graph._resolve_bucket) for every input —
-including when a parent's children are split across many batches (the merge
-property the map-side combine relies on)."""
+must be EXACTLY the row-level spec (``_resolve_bucket`` below) for every
+input — including when a parent's children are split across many batches
+(the merge property the map-side combine relies on)."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
 
-from entity_extractor_ray.stages.graph import (
-    _resolve_bucket,
-    _rollup_merge_bucket,
-    _rollup_partial,
-)
+from entity_extractor_ray.functions.decision_tables import SRC_NONE
+from entity_extractor_ray.stages.graph import _rollup_merge_bucket, _rollup_partial
+
+# ---- the row-level spec: parent status = max child rank; source = the
+# preferred source among the children at that rank
+
+_STATUS_RANK = {"NO": 0, "PENDING": 1, "YES": 2}
+_RANK_STATUS = {0: "NO", 1: "PENDING", 2: "YES"}
+# preference rank per (parent PENDING?, source): lower = preferred;
+# unlisted sources never win the vote (rank 99)
+_PREF_PENDING = {"OECD": 0, "VAI": 1, "MANUAL": 2}
+_PREF_OTHER = {"VAI": 0, "OECD": 1, "MANUAL": 2}
+_PREF_INV_PENDING = {v: k for k, v in _PREF_PENDING.items()}
+_PREF_INV_OTHER = {v: k for k, v in _PREF_OTHER.items()}
+
+
+def _resolve_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    """One hash bucket of (src, child status, child source) edge rows:
+    per parent apply the reference lattice + source vote — fully vectorized
+    (the lattice is max() over a status rank; the vote is min() over a
+    per-status preference rank restricted to voters), semantics identical
+    to functions.decision_tables.parent_pfas_resolution."""
+    rank = df["pfas_status"].map(_STATUS_RANK).fillna(1)
+    parent_rank = rank.groupby(df["src"], sort=False).transform("max")
+    parent_status_row = parent_rank.map(_RANK_STATUS)
+
+    is_pending_parent = parent_rank == 1
+    pref = pd.Series(
+        np.where(
+            is_pending_parent,
+            df["pfas_information_source"].map(_PREF_PENDING).fillna(99),
+            df["pfas_information_source"].map(_PREF_OTHER).fillna(99),
+        ),
+        index=df.index,
+    )
+    # only children whose status equals the parent's resolved status vote
+    voter = df["pfas_status"].map(_STATUS_RANK).fillna(1) == parent_rank
+    pref = pref.where(voter, 99)
+
+    g = pd.DataFrame(
+        {"src": df["src"], "status": parent_status_row, "pref": pref,
+         "pending": is_pending_parent}
+    ).groupby("src", sort=False).agg(
+        status=("status", "first"), pref=("pref", "min"), pending=("pending", "first")
+    ).reset_index()
+
+    src_out = g["src"].tolist()
+    status_out = g["status"].tolist()
+    source_out = [
+        (_PREF_INV_PENDING if pend else _PREF_INV_OTHER).get(int(p), SRC_NONE)
+        for p, pend in zip(g["pref"], g["pending"])
+    ]
+    return pa.table(
+        {
+            "entity_id": pa.array(src_out, pa.string()),
+            "pfas_status": pa.array(status_out, pa.string()),
+            "pfas_information_source": pa.array(source_out, pa.string()),
+        }
+    )
+
 
 STATUSES = ["NO", "PENDING", "YES", None, "WEIRD"]
 SOURCES = ["OECD", "VAI", "MANUAL", None, "UNLISTED"]
