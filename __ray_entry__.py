@@ -641,7 +641,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                     extract_records, batch_format="pyarrow"
                 ),
                 ["conv_id"],
-                lambda df, b: assemble_bucket(df),
+                lambda t, b: assemble_bucket(t),
                 16,
             ),
             n_buckets=16,

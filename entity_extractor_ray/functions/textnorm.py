@@ -16,10 +16,6 @@ import numpy as np
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
-# BPE-ish tokenizer: words, numbers, or single non-space punctuation — a cheap
-# public approximation of byte-pair-style pretokenization (GPT-2 pattern family).
-_TOKEN_RE = re.compile(r"[A-Za-z]+|[0-9]+|[^\sA-Za-z0-9]")
-
 MERSENNE61 = (1 << 61) - 1
 
 
@@ -46,11 +42,6 @@ def stable_id(*parts: Optional[str]) -> str:
 
 def words(text: str) -> List[str]:
     return _WORD_RE.findall(text.lower())
-
-
-def tokenize(text: str) -> List[str]:
-    """Whitespace+punct BPE-ish pretokenization (for token counting)."""
-    return _TOKEN_RE.findall(text)
 
 
 def char_shingles(text: str, k: int = 5) -> set:
@@ -160,17 +151,6 @@ def minhash_band_hashes_batch(sigs: np.ndarray, num_bands: int) -> np.ndarray:
         acc = (acc + np.arange(num_bands, dtype=np.uint64)[None, :]) * mix
         acc = acc ^ (acc >> np.uint64(32))
     return acc >> np.uint64(1)  # 63-bit, fits signed int64
-
-
-def minhash_bands(sig: np.ndarray, num_bands: int) -> List[int]:
-    """Split a signature into bands; returns one stable 63-bit hash per band."""
-    rows = sig.shape[0] // num_bands
-    out = []
-    for band in range(num_bands):
-        chunk = sig[band * rows : (band + 1) * rows]
-        digest = hashlib.blake2b(chunk.tobytes() + band.to_bytes(2, "big"), digest_size=8).digest()
-        out.append(int.from_bytes(digest, "big") >> 1)
-    return out
 
 
 _WORD_HASH_CACHE: dict = {}

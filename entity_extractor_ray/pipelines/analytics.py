@@ -303,7 +303,7 @@ def events_funnel(sf_dir: str):
     with no funnel event at all are counted at stage 0 as (global distinct
     users − funnel users): one single-column distinct aggregate instead of
     the round-3 design that shipped every batch's distinct user ids as
-    3-column sentinel rows through the wide pandas bucket exchange —
+    3-column sentinel rows through the wide bucket exchange —
     O(distinct-users-per-batch × n_batches) extra exchange volume
     (VERDICT r3 "what's wrong" #3)."""
     import ray.data as rd
@@ -320,7 +320,8 @@ def events_funnel(sf_dir: str):
 
     pre = ds.map_batches(prep, batch_format="pyarrow")
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         users = pd.Index(df["user_id"].unique())
         v = df[df["event_type"] == "view"].groupby("user_id", sort=False)["ts"].min()
         c_rows = df[df["event_type"] == "click"][["user_id", "ts"]]
@@ -427,7 +428,8 @@ def user_cohort_retention(sf_dir: str):
 
     pre = ds.map_batches(prep, batch_format="pyarrow")
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         dd = df.drop_duplicates(["user_id", "day"])
         cohort = dd.groupby("user_id", sort=False)["day"].transform("min")
         off = (
@@ -584,7 +586,8 @@ def customers_fuzzy_pairs(sf_dir: str, max_dist: int = 1):
 
     ds = _read(sf_dir, "customer", ["c_custkey", "c_name", "c_nationkey"])
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         keys_out, dists_out = [], []
         for _, grp in df.groupby("c_nationkey", sort=False):
             k = grp["c_custkey"].to_numpy()
@@ -1113,7 +1116,8 @@ def events_transition_matrix(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         order = np.lexsort(
             (df["event_id"].to_numpy(), df["ts"].to_numpy(), df["user_id"].to_numpy())
         )
@@ -1259,7 +1263,8 @@ def doc_length_mad(sf_dir: str):
 
     pre = ds.map_batches(histogram, batch_format="pandas")
 
-    def med_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def med_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         merged = df.groupby(["lang", "n_chars"], sort=False)["cnt"].sum().reset_index()
         langs, med2s = [], []
         for lang, g in merged.groupby("lang", sort=False):
@@ -1288,7 +1293,8 @@ def doc_length_mad(sf_dir: str):
 
     pre2 = ds.map_batches(dev_hist, batch_format="pandas")
 
-    def mad_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def mad_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         merged = df.groupby(["lang", "dev2"], sort=False)["cnt"].sum().reset_index()
         langs, mads = [], []
         for lang, g in merged.groupby("lang", sort=False):
@@ -1567,7 +1573,8 @@ def sorted_neighborhood_pairs(sf_dir: str, window: int = 5, block: int = 512):
 
     haloed = ranked.map_batches(halo, batch_format="pyarrow")
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         a_p: list = []
         b_p: list = []
         d_p: list = []
@@ -1640,7 +1647,8 @@ def events_daily_actives(sf_dir: str):
 
     pre = ds.map_batches(prep, batch_format="pyarrow")
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         du = df.groupby(["day", "user_id"], sort=False)["p"].max().reset_index()
         out = du.groupby("day", sort=False)["p"].agg(["size", "sum"]).reset_index()
         return pa.table(
@@ -1700,7 +1708,8 @@ def events_cohort_retention(sf_dir: str):
 
     pre = ds.map_batches(prep, batch_format="pyarrow")
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         du = df.drop_duplicates(["user_id", "day"])
         cohort = du.groupby("user_id", sort=False)["day"].transform("min")
         off = (du["day"] - cohort).dt.days.to_numpy().astype(np.int64)
@@ -1775,7 +1784,8 @@ def events_cumulative_users(sf_dir: str):
 
     pre = ds.map_batches(prep, batch_format="pyarrow")
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         first = df.groupby("user_id", sort=False)["day"].min()
         out = first.value_counts()
         return pa.table(
@@ -2245,7 +2255,8 @@ def events_time_weighted_value(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "value"])
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         order = np.lexsort(
             (df["event_id"].to_numpy(), df["ts"].to_numpy(), df["user_id"].to_numpy())
         )
@@ -2313,7 +2324,8 @@ def events_user_first_last(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         order = np.lexsort(
             (df["event_id"].to_numpy(), df["ts"].to_numpy(), df["user_id"].to_numpy())
         )
@@ -2367,7 +2379,8 @@ def events_winsorized(sf_dir: str):
 
     pre = ds.map_batches(hist, batch_format="pyarrow")
 
-    def q99_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def q99_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         merged = (
             df.groupby(["event_type", "cents"], sort=False)["cnt"].sum().reset_index()
         )

@@ -406,7 +406,7 @@ STAGES = [
     Stage("chem_status", lambda r: fold_chemical_states(r.out["linked"], r.n_buckets)),
     Stage("edges", lambda r: r.buckets(
         "edges", edge_candidates(r.out["linked"], _clean(r)), ["src", "dst"],
-        edge_pick_last, EDGES_SCHEMA, arrow=True), grain="bucket"),
+        edge_pick_last, EDGES_SCHEMA), grain="bucket"),
     Stage("triples", lambda r: [("", "records", _triple_rows, None)],
           grain="shard", terminal=True),
     Stage("nodes", _nodes, terminal=True),
@@ -425,7 +425,7 @@ def _records_source(extraction, prior_files=None):
 
     def build(r):
         records = r.buckets("records_assemble", extraction, ["conv_id"],
-                            lambda df, b: assemble_bucket(df), RECORD_SCHEMA)
+                            lambda t, b: assemble_bucket(t), RECORD_SCHEMA)
         if prior_files:
             import ray.data as rd
 
@@ -455,17 +455,17 @@ class _Run:
         self._stage = ""
         self._last_end = time.perf_counter()
 
-    def buckets(self, name, ds, keys, fn, schema, arrow=False):
+    def buckets(self, name, ds, keys, fn, schema):
         """Apply ``fn(bucket, bucket_id)`` per hash bucket of ``keys``; with
-        a checkpoint each bucket commits its own part under ``name``."""
+        a checkpoint each bucket commits its own part under ``name``, keyed
+        also by the committed files of every stage before it."""
         from ..stages import shuffle
 
         if self.ckpt is None:
-            apply = shuffle.bucket_group_apply_arrow if arrow else shuffle.bucket_group_apply
-            return apply(ds, keys, fn, self.n_buckets)
+            return shuffle.bucket_group_apply(ds, keys, fn, self.n_buckets)
+        parts = self.ckpt.parts_dir(name, [self.ckpt.stage_dir(s) for s in self.out])
         return shuffle.bucket_group_apply_partitioned(
-            ds, keys, fn, self.n_buckets, self.ckpt.parts_dir(name), schema,
-            arrow_groups=arrow,
+            ds, keys, fn, self.n_buckets, parts, schema,
         )
 
     def sub(self, name, fn):
@@ -515,7 +515,9 @@ class _Run:
                      for tag, src, fn, cols in st.build(self)]
             # a Dataset input has no source shards: stage-level commit
             if all(files is not None for _, files, _, _ in feeds):
-                return ck.run(st.name, lambda: write_shards(ck.parts_dir(st.name), feeds))
+                sources = [f for _, files, _, _ in feeds for f in files]
+                return ck.run(st.name, lambda: write_shards(
+                    ck.parts_dir(st.name, sources), feeds))
         return ck.run(st.name, lambda: self._lazy(st),
                       **({} if st.terminal else REREAD_FILE_OPTS))
 

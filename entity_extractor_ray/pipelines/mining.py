@@ -6,9 +6,9 @@ the four below: ``supplier_jaccard`` (bipartite-projection similarity
 join), ``distinctive_terms_llr`` (Dunning log-likelihood keywords per
 group), ``rrf_retrieval`` (reciprocal-rank fusion of the kNN and BM25
 legs), ``fd_audit`` (functional-dependency census), ``events_user_ewma``
-(recency-weighted user state), and the ``_tagged_sum_reduce`` helper that
-routes every multi-million-row pair-count reduce through the engine's
-bucket shuffle instead of Ray's multi-key sort aggregate (~27x at sf0.1).
+(recency-weighted user state). Every multi-million-row pair-count reduce
+is one ``group_aggregate`` (kind, a, b) -> n, never Ray's multi-key sort
+aggregate (~27x at sf0.1).
 
 - ``regression_by_flag`` — grouped ordinary-least-squares (slope,
   intercept, R²) from ONE pass of mergeable integer sufficient statistics
@@ -143,36 +143,6 @@ FROM d
 """
 
 
-# ----------------------------------------------- tagged pair-count reduce
-
-
-def _tagged_sum_reduce(pre_ds, n_buckets: int = 32):
-    """(kind, a, b, partial) -> (kind, a, b, n): the pair-count reduce via
-    the engine's OWN bucket shuffle instead of Ray's groupby. Ray 2.49's
-    sort-based aggregate on a multi-million-row TWO-key relation measured
-    ~60 s at sf0.1 where this single-int64-bucket sort + local Arrow
-    group-sum takes ~2 s (27x; the same reason the KG stages all shuffle
-    through bucket_group_apply): the all-to-all sorts 64 distinct bucket
-    ids, not the full composite key space, and the per-bucket reduce is one
-    vectorized TableGroupBy."""
-    from ..stages.shuffle import bucket_group_apply_arrow
-
-    def _sum_fn(t: pa.Table, bucket_id: int) -> pa.Table:
-        agg = pa.TableGroupBy(
-            t.select(["kind", "a", "b", "partial"]), ["kind", "a", "b"]
-        ).aggregate([("partial", "sum")])
-        return pa.table(
-            {
-                "kind": agg.column("kind"),
-                "a": agg.column("a"),
-                "b": agg.column("b"),
-                "n": agg.column("partial_sum"),
-            }
-        )
-
-    return bucket_group_apply_arrow(pre_ds, ["kind", "a", "b"], _sum_fn, n_buckets=n_buckets)
-
-
 # --------------------------------------------- hot-posting-list truncation
 
 POSTING_CAP = 1000  # pairs per key bounded by C(cap, 2); far above TPC-H fanout
@@ -235,14 +205,14 @@ def basket_pair_lift(sf_dir: str, min_pairs: int = 3,
     uniformly truncated (seeded-hash, drop counted + logged —
     _cap_posting_lists) before pair generation, so one hot order can never
     go quadratic; per-part and per-order supports stay exact. Pair counts, per-part order counts and the distinct
-    order count ride ONE tagged (kind, a, b) bucket reduce
-    (_tagged_sum_reduce) — the exchange carries pre-reduced partials only. Item supports broadcast back onto
+    order count ride ONE tagged (kind, a, b) ``group_aggregate`` sum
+    — the exchange carries pre-reduced partials only. Item supports broadcast back onto
     the pair relation via lookup_join (part-dimension-sized). All counts
     are exact int64; lift is one double expression floor-truncated to 6 dp
     (the vocab_stats discipline) identically in BASKET_LIFT_SQL.
     n_orders * pair_n stays far inside int64 (n_orders ≤ ~1e10 even at
     100 TB; pair_n ≤ n_orders)."""
-    from ..stages.shuffle import bucket_group_apply_arrow, lookup_join
+    from ..stages.shuffle import bucket_group_apply, lookup_join
 
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
@@ -323,8 +293,9 @@ def basket_pair_lift(sf_dir: str, min_pairs: int = 3,
             )
         return pa.concat_tables(rows)
 
-    counts = _tagged_sum_reduce(
-        bucket_group_apply_arrow(ds, ["l_orderkey"], bucket_fn, n_buckets=64)
+    counts = group_aggregate(
+        bucket_group_apply(ds, ["l_orderkey"], bucket_fn, n_buckets=64),
+        ["kind", "a", "b"], {"n": ("sum", "partial")},
     ).materialize()  # reused three ways below (pair/item/order splits)
 
     n_orders = int(
@@ -453,7 +424,7 @@ def events_band_join(sf_dir: str):
     rollup is a click-prefix-sum difference. Purchases with zero
     in-window clicks are preserved (LEFT semantics), matching
     BAND_JOIN_SQL's LEFT JOIN."""
-    from ..stages.shuffle import bucket_group_apply_arrow
+    from ..stages.shuffle import bucket_group_apply
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"])
 
@@ -499,7 +470,7 @@ def events_band_join(sf_dir: str):
         )
 
     filtered = ds.map_batches(prefilter, batch_format="pyarrow")
-    return bucket_group_apply_arrow(filtered, ["user_id"], bucket_fn, n_buckets=32)
+    return bucket_group_apply(filtered, ["user_id"], bucket_fn, n_buckets=32)
 
 
 BAND_JOIN_SQL = f"""
@@ -719,10 +690,10 @@ def supplier_jaccard(sf_dir: str, min_common: int = 2,
     Set sizes stay exact; intersections touching a truncated list
     undercount (the bounded-candidate policy).
     Intersection counts and per-supplier set sizes ride one tagged
-    bucket reduce (_tagged_sum_reduce); sizes broadcast back via lookup_join (supplier-dimension
+    ``group_aggregate`` sum; sizes broadcast back via lookup_join (supplier-dimension
     sized). All counts exact int64; jaccard is one double division
     floor-truncated to 6 dp identically in SUPPLIER_JACCARD_SQL."""
-    from ..stages.shuffle import bucket_group_apply_arrow, lookup_join
+    from ..stages.shuffle import bucket_group_apply, lookup_join
 
     ds = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
 
@@ -789,8 +760,9 @@ def supplier_jaccard(sf_dir: str, min_common: int = 2,
             )
         return pa.concat_tables(rows)
 
-    counts = _tagged_sum_reduce(
-        bucket_group_apply_arrow(ds, ["l_partkey"], bucket_fn, n_buckets=64)
+    counts = group_aggregate(
+        bucket_group_apply(ds, ["l_partkey"], bucket_fn, n_buckets=64),
+        ["kind", "a", "b"], {"n": ("sum", "partial")},
     ).materialize()  # reused: sizes + intersections
 
     sizes = counts.filter(expr="kind == 1").map_batches(
@@ -965,9 +937,9 @@ def distinctive_terms_llr(sf_dir: str, min_count: int = 10, top_k: int = 15):
     stays ~1e-10 — and is floor-truncated at 3 dp (not 6: the 9-term
     expression carries more float noise than a single-ln PMI) identically
     in DISTINCTIVE_LLR_SQL. Ranking ties break on (llr desc, word asc);
-    the final per-lang top-k runs in map_groups over ~5 lang groups of
+    the final per-lang top-k runs in one bucket apply keyed on lang over
     vocab-sized rows."""
-    from ..stages.shuffle import lookup_join
+    from ..stages.shuffle import bucket_group_apply, lookup_join
 
     docs = _read(sf_dir, "documents", ["lang", "text"])
 
@@ -1028,13 +1000,15 @@ def distinctive_terms_llr(sf_dir: str, min_count: int = 10, top_k: int = 15):
 
     scored = j2.map_batches(score, batch_format="pyarrow")
 
-    def topk(g: pa.Table) -> pa.Table:
-        order = pc.sort_indices(
-            g, sort_keys=[("llr", "descending"), ("word", "ascending")]
-        )
-        return g.take(order[:top_k])
+    def topk(t: pa.Table, bucket_id: int) -> pa.Table:
+        t = t.take(pc.sort_indices(t, sort_keys=[
+            ("lang", "ascending"), ("llr", "descending"), ("word", "ascending")]))
+        lang = t.column("lang").to_numpy(zero_copy_only=False)
+        starts = np.r_[0, np.flatnonzero(lang[1:] != lang[:-1]) + 1]
+        rank = np.arange(len(lang)) - np.repeat(starts, np.diff(np.r_[starts, len(lang)]))
+        return t.filter(pa.array(rank < top_k))
 
-    return scored.groupby("lang").map_groups(topk, batch_format="pyarrow")
+    return bucket_group_apply(scored, ["lang"], topk, n_buckets=8)
 
 
 def distinctive_llr_sql(min_count: int = 10, top_k: int = 15) -> str:
@@ -1097,10 +1071,10 @@ def fd_audit(sf_dir: str):
     shuffle co-locates every lhs (so the per-bucket Arrow census —
     distinct pairs → rhs-count per lhs → two scalars — is EXACT and
     final), and the driver sums one 2-int row per bucket. No Ray
-    multi-key sort aggregate anywhere (the _tagged_sum_reduce lesson).
+    multi-key sort aggregate anywhere.
     Counts exact int64; mirrored in FD_AUDIT_SQL as UNION ALL of
     per-candidate census blocks."""
-    from ..stages.shuffle import bucket_group_apply_arrow
+    from ..stages.shuffle import bucket_group_apply
 
     rows = []
     for table, lhs, rhs in FD_CANDIDATES:
@@ -1127,7 +1101,7 @@ def fd_audit(sf_dir: str):
                 }
             )
 
-        g = bucket_group_apply_arrow(dedup, [lhs], census, n_buckets=16).sum(
+        g = bucket_group_apply(dedup, [lhs], census, n_buckets=16).sum(
             ["n_lhs", "viol"]
         ) or {}  # None on an empty candidate relation
         rows.append(
@@ -1180,7 +1154,7 @@ def events_user_ewma(sf_dir: str, alpha: float = EWMA_ALPHA):
     against pandas ewm on planted and real slices in tests/test_mining.py.
     Events deeper than ~1500 positions from the end contribute below
     double precision; the power underflows to 0 harmlessly."""
-    from ..stages.shuffle import bucket_group_apply_arrow
+    from ..stages.shuffle import bucket_group_apply
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
@@ -1216,7 +1190,7 @@ def events_user_ewma(sf_dir: str, alpha: float = EWMA_ALPHA):
             }
         )
 
-    return bucket_group_apply_arrow(ds, ["user_id"], bucket_fn, n_buckets=32)
+    return bucket_group_apply(ds, ["user_id"], bucket_fn, n_buckets=32)
 
 
 # ------------------------------------------------ CMS probe query wrapper
@@ -1268,7 +1242,7 @@ def events_ohlc(sf_dir: str):
     day-dimension-sized partials do (n_types x n_days x n_batches rows).
     Exact integer cents end to end; one final division mirrored in
     EVENTS_OHLC_SQL's first()/last() ORDER BY aggregates."""
-    from ..stages.shuffle import bucket_group_apply_arrow
+    from ..stages.shuffle import bucket_group_apply
 
     ds = _read(sf_dir, "events", ["event_type", "ts", "event_id", "value"])
 
@@ -1345,8 +1319,8 @@ def events_ohlc(sf_dir: str):
         )
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    return bucket_group_apply_arrow(partials, ["event_type", "day"], merge_bucket,
-                                    n_buckets=16)
+    return bucket_group_apply(partials, ["event_type", "day"], merge_bucket,
+                              n_buckets=16)
 
 
 EVENTS_OHLC_SQL = """
@@ -1449,7 +1423,7 @@ def inverted_index(sf_dir: str, max_postings: int = 100):
     string so the relation stays flat for the hash compare."""
     import re as _re
 
-    from ..stages.shuffle import bucket_group_apply_arrow
+    from ..stages.shuffle import bucket_group_apply
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     word_re = _re.compile(r"[a-z]+")
@@ -1492,7 +1466,7 @@ def inverted_index(sf_dir: str, max_postings: int = 100):
         )
 
     p = ds.map_batches(pairs, batch_format="pyarrow")
-    return bucket_group_apply_arrow(p, ["token"], assemble, n_buckets=16)
+    return bucket_group_apply(p, ["token"], assemble, n_buckets=16)
 
 
 def inverted_index_sql(max_postings: int = 100) -> str:

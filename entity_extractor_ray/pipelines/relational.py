@@ -325,7 +325,8 @@ def topk_docs_per_lang(sf_dir: str, k: int = 3):
 
     pre = ds.map_batches(_local_topk, batch_format="pandas")
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         top = _local_topk(df).copy()
         top["rnk"] = top.groupby("lang", sort=False).cumcount() + 1
         return pa.table(
@@ -402,7 +403,8 @@ def doc_length_quantiles(sf_dir: str):
 
     pre = ds.map_batches(histogram, batch_format="pandas")
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         out = {"lang": [], "n_docs": [], "median_chars": [], "p90_chars": []}
         merged = df.groupby(["lang", "n_chars"], sort=False)["cnt"].sum().reset_index()
         for lang, g in merged.groupby("lang", sort=False):
@@ -460,7 +462,8 @@ def doc_length_quantiles_cont(sf_dir: str):
         hi = float(vals[np.searchsorted(cum, hi_i + 1)])
         return lo + (hi - lo) * (h - lo_i)
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         out = {"lang": [], "p50_chars": [], "p75_chars": []}
         merged = df.groupby(["lang", "n_chars"], sort=False)["cnt"].sum().reset_index()
         for lang, g in merged.groupby("lang", sort=False):
@@ -620,7 +623,8 @@ def events_sliding(sf_dir: str, window_hours: int = 3):
 
     win_us = np.int64(window_hours) * 3_600_000_000
 
-    def sliding_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def sliding_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         out_type, out_hour, out_n = [], [], []
         for etype, g in df.groupby("event_type", sort=False):
             g = g.groupby("hour", sort=True)["n"].sum().reset_index()
@@ -660,7 +664,8 @@ def events_late(sf_dir: str, lateness_sec: int = 600):
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts"])
     late_us = np.int64(lateness_sec) * 1_000_000
 
-    def late_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def late_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         out_user, out_id, out_ts, out_wm = [], [], [], []
         for user, g in df.groupby("user_id", sort=False):
             g = g.sort_values("event_id", kind="mergesort")
@@ -713,7 +718,8 @@ def events_watermark(sf_dir: str, lateness_sec: int = 600):
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts"])
     late_us = np.int64(lateness_sec) * 1_000_000
 
-    def wm_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def wm_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         users, wms, lates = [], [], []
         for user, g in df.groupby("user_id", sort=False):
             g = g.sort_values("event_id", kind="mergesort")
@@ -783,7 +789,8 @@ def events_asof_click(sf_dir: str):
         ["user_id", "event_id", "ts"]
     )
 
-    def dedup_ties(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def dedup_ties(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         d = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         d = d.drop_duplicates(["user_id", "ts"], keep="last")
         return pa.table(
@@ -871,7 +878,8 @@ def events_user_stats(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
 
-    def per_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def per_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         g = df.groupby("user_id", sort=False).agg(
             n_events=("event_type", "size"),
             last_ts=("ts", "max"),
@@ -972,8 +980,8 @@ def events_sessionize(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
 
-    def per_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
-        df = df.sort_values(["user_id", "ts"], kind="mergesort")
+    def per_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas().sort_values(["user_id", "ts"], kind="mergesort")
         gap = pd.Timedelta(minutes=SESSION_GAP_MIN)
         new_user = df["user_id"] != df["user_id"].shift()
         new_session = new_user | ((df["ts"] - df["ts"].shift()) > gap)
@@ -1076,7 +1084,8 @@ def concat_by_lang(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
 
-    def per_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def per_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         g = (
             df.sort_values("doc_id")
             .groupby("lang", sort=False)["doc_id"]
@@ -1257,29 +1266,12 @@ def q17_small_quantity_revenue(sf_dir: str):
     per-row re-scan. The predicate is evaluated in integer arithmetic
     (5*qty*cnt < sum_qty ⟺ qty < 0.2*avg) so boundary membership is
     bit-exact in both engines."""
-    from ..stages.shuffle import bucket_group_apply, lookup_join
+    from ..stages.shuffle import lookup_join
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"])
 
-    # the task-based bucket shuffle merges partials ~4x cheaper than Ray's
-    # sort-based groupby at this shape
     pre = part_qty_partials(li)
-
-    def merge_stats(df: pd.DataFrame, bucket_id: int) -> pa.Table:
-        g = (
-            df.groupby("pk", sort=False)
-            .agg(sq=("sq", "sum"), cnt=("cnt", "sum"))
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "pk": pa.array(g["pk"].to_numpy(), pa.int64()),
-                "sq": pa.array(g["sq"].to_numpy(), pa.int64()),
-                "cnt": pa.array(g["cnt"].to_numpy(), pa.int64()),
-            }
-        )
-
-    stats = bucket_group_apply(pre, ["pk"], merge_stats, n_buckets=8)
+    stats = group_aggregate(pre, ["pk"], {"sq": ("sum", "sq"), "cnt": ("sum", "cnt")})
 
     def prep(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -2082,7 +2074,8 @@ def events_user_mode(sf_dir: str):
 
     pre = ds.map_batches(partial, batch_format="pyarrow")
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         merged = (
             df.groupby(["user_id", "event_type"], sort=False)["n"].sum().reset_index()
         )
@@ -2140,7 +2133,8 @@ def events_user_entropy(sf_dir: str):
 
     pre = ds.map_batches(partial, batch_format="pyarrow")
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         merged = (
             df.groupby(["user_id", "event_type"], sort=False)["n"].sum().reset_index()
         )
@@ -2367,8 +2361,8 @@ def cheapest_supplier_per_part(sf_dir: str):
 
     pre = ds.map_batches(local_argmin, batch_format="pandas")
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
-        df = df.sort_values(["l_partkey", "c", "l_suppkey"], kind="mergesort")
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas().sort_values(["l_partkey", "c", "l_suppkey"], kind="mergesort")
         top = df.groupby("l_partkey", sort=False).head(1)
         return pa.table(
             {

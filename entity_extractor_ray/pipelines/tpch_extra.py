@@ -903,8 +903,8 @@ def q2_min_cost_supplier(sf_dir: str, market_region: str = "EUROPE",
         local_argmin, batch_format="pandas"
     )
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
-        df = df.sort_values(["l_partkey", "c", "l_suppkey"], kind="mergesort")
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas().sort_values(["l_partkey", "c", "l_suppkey"], kind="mergesort")
         top = df.groupby("l_partkey", sort=False).head(1)
         return pa.table(
             {

@@ -21,8 +21,8 @@ vectorized-ish call — per-call overhead is amortized over thousands of
 conversations, and bucket counts are tunable to cluster size. conv_id is a
 uniform key, so buckets are balanced without salting. ``assemble_bucket`` is
 the per-bucket function; callers apply it through
-``shuffle.bucket_group_apply`` (or its per-bucket checkpointed twin) on
-``["conv_id"]``.
+``shuffle.bucket_group_apply`` on ``["conv_id"]`` (per-bucket commits
+under a checkpoint: ``bucket_group_apply_partitioned``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..functions.decision_tables import combine_material_name
@@ -79,11 +78,11 @@ RECORD_SCHEMA = pa.schema(
 )
 
 
-def assemble_bucket(group: pd.DataFrame) -> pa.Table:
+def assemble_bucket(t: pa.Table) -> pa.Table:
     """One hash bucket of extraction rows -> assembled records. Returns an
     Arrow table with the explicit RECORD_SCHEMA so empty buckets and the
     nested chemicals list<struct> column keep a stable schema across blocks."""
-    group = group.sort_values(["conv_id", "turn_idx"], kind="mergesort")
+    group = t.to_pandas().sort_values(["conv_id", "turn_idx"], kind="mergesort")
     out_conv: List[str] = []
     out_turn: List[int] = []
     out_name: List[str] = []
@@ -248,7 +247,7 @@ def dedup_records(records_ds, n_buckets: int = 64, reread_safe: bool = False):
     from ..functions.arrowutil import rename_agg
     from ..functions.decision_tables import normalize_name_key
     from .linking import order_key_array
-    from .shuffle import bucket_group_apply_arrow, lookup_join
+    from .shuffle import bucket_group_apply, lookup_join
 
     if not reread_safe:
         records_ds = records_ds.materialize()
@@ -296,7 +295,7 @@ def dedup_records(records_ds, n_buckets: int = 64, reread_safe: bool = False):
         t = rename_agg(agg, {"mat_key": "mat_key", "win_key_min": "win_key", "n_sum": "n"})
         return t.filter(pc.greater(t.column("n"), 1)).select(["mat_key", "win_key"])
 
-    dup_groups = bucket_group_apply_arrow(partials, ["mat_key"], contested, n_buckets)
+    dup_groups = bucket_group_apply(partials, ["mat_key"], contested, n_buckets)
 
     joined = lookup_join(
         keyed, dup_groups, key="mat_key", how="left",

@@ -276,7 +276,7 @@ def semantic_dedup(embeddings_ds, threshold: float = 0.95, k: int = 10,
     near-duplicate (or -1), ``max_cos`` the similarity to the closest
     earlier same-cluster row (-1.0 when the row is its cluster's first)."""
     from .dedup import _cap_ids_unbiased
-    from .shuffle import bucket_group_apply_arrow
+    from .shuffle import bucket_group_apply
 
     if centroids is None:
         centroids = kmeans_fit(embeddings_ds, k=k, n_iter=n_iter, seed=seed)
@@ -322,7 +322,7 @@ def semantic_dedup(embeddings_ds, threshold: float = 0.95, k: int = 10,
             return SEMDEDUP_SCHEMA.empty_table()
         return pa.concat_tables(out)
 
-    return bucket_group_apply_arrow(assigned, ["cluster"], bucket_fn, n_buckets)
+    return bucket_group_apply(assigned, ["cluster"], bucket_fn, n_buckets)
 
 
 # ------------------------------------------------------------------ PCA

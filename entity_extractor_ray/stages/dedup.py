@@ -100,11 +100,12 @@ def _cap_ids_unbiased(ids: np.ndarray, cap: int) -> np.ndarray:
     return ids[np.argsort(mix, kind="stable")[:cap]]
 
 
-def _pairs_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+def _pairs_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
     """One hash bucket of (band_id, band_hash) groups -> candidate pairs
     (id_a < id_b), vectorized triu per group. Pathological buckets (a band
     value shared by >BUCKET_PAIR_CAP docs — i.e. boilerplate) are truncated
     to the cap and the truncation is COUNTED and logged, never silent."""
+    df = t.to_pandas()
     a_parts: List[np.ndarray] = []
     b_parts: List[np.ndarray] = []
     n_truncated_buckets = 0
@@ -147,31 +148,16 @@ def minhash_candidate_pairs(docs_ds, concurrency: int = None, n_buckets: int = 3
     """docs -> distinct LSH candidate pairs (one shuffle + one dedup groupby).
     ``concurrency`` is accepted for API compatibility; signatures run as
     elastic tasks with a per-process singleton."""
-    from .shuffle import bucket_group_apply
+    from .shuffle import bucket_group_apply, compact_blocks
 
     bands = docs_ds.map_batches(_minhash_rows, batch_format="pandas")
     pairs = bucket_group_apply(bands, ["band_id", "band_hash"], _pairs_bucket, n_buckets)
-
-    def distinct_pairs(df: pd.DataFrame, bucket_id: int) -> pa.Table:
-        d = df.drop_duplicates(["id_a", "id_b"])
-        return pa.table(
-            {
-                "id_a": pa.array(d["id_a"].to_numpy(), pa.int64()),
-                "id_b": pa.array(d["id_b"].to_numpy(), pa.int64()),
-            }
-        )
-
-    # distinct via the bucket shuffle (int keys, drop_duplicates in-bucket):
-    # measured ~4x cheaper than Ray's sort-based groupby().count() at the
-    # same result. compact_blocks drops the empty stale-schema filler blocks
-    # both bucket stages emit — the pair list is tiny, so this natural
-    # materialization boundary costs nothing and every downstream join/
-    # verify plan sees only row-bearing Arrow blocks.
-    from .shuffle import compact_blocks
-
-    return compact_blocks(
-        bucket_group_apply(pairs, ["id_a", "id_b"], distinct_pairs, n_buckets)
-    )
+    # distinct pairs (group_aggregate with no aggregate). compact_blocks
+    # drops the empty stale-schema filler blocks both exchanges emit — the
+    # pair list is tiny, so this natural materialization boundary costs
+    # nothing and every downstream join/verify plan sees only row-bearing
+    # Arrow blocks.
+    return compact_blocks(group_aggregate(pairs, ["id_a", "id_b"], {}))
 
 
 def verify_jaccard_pairs(pairs_ds, docs_ds, threshold: float = JACCARD_THRESHOLD,
@@ -273,8 +259,10 @@ def propagate_min_labels(pairs_ds, n_buckets: int = 32, max_rounds: int = 50):
     label changed. Rounds needed = component diameter (near-dup clusters are
     shallow); labels materialize per round and stay O(#nodes-in-pairs) —
     never O(corpus)."""
+    import pyarrow.compute as pc
     import ray.data as rd
-    from .shuffle import bucket_group_apply, lookup_join
+
+    from .shuffle import lookup_join
 
     def both_dirs(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -296,37 +284,19 @@ def propagate_min_labels(pairs_ds, n_buckets: int = 32, max_rounds: int = 50):
             pa.table({"node": pa.array([], pa.int64()), "label": pa.array([], pa.int64())})
         )
 
+    def relabel(t: pa.Table) -> pa.Table:
+        # per node: new label = min(min candidate, current label "old");
+        # changed = the label dropped
+        label = pc.min_element_wise(t.column("cand"), t.column("old"))
+        changed = pc.cast(pc.less(label, t.column("old")), pa.int64())
+        return pa.table([t.column("node"), label, changed], schema=LABELS_SCHEMA)
+
+    def min_labels(rows, aggs):
+        return group_aggregate(rows, ["node"], aggs).map_batches(
+            relabel, batch_format="pyarrow").materialize()
+
     # init: label(node) = min(node, min neighbor) — fuses round 1
-    def init_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
-        agg = df.groupby("node", sort=False)["nbr"].min().reset_index()
-        lab = np.minimum(agg["node"].to_numpy(), agg["nbr"].to_numpy())
-        return pa.table(
-            {
-                "node": pa.array(agg["node"].to_numpy(), pa.int64()),
-                "label": pa.array(lab, pa.int64()),
-                "changed": pa.array((lab != agg["node"].to_numpy()).astype(np.int64)),
-            },
-            schema=LABELS_SCHEMA,
-        )
-
-    labels = bucket_group_apply(edges, ["node"], init_bucket, n_buckets).materialize()
-
-    def min_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
-        # rows: (node, cand, old) — old is the node's current label (same on
-        # every row of the node); new label = min cand; changed = new < old
-        agg = df.groupby("node", sort=False).agg(
-            label=("cand", "min"), old=("old", "min")
-        ).reset_index()
-        return pa.table(
-            {
-                "node": pa.array(agg["node"].to_numpy(), pa.int64()),
-                "label": pa.array(agg["label"].to_numpy(), pa.int64()),
-                "changed": pa.array(
-                    (agg["label"].to_numpy() < agg["old"].to_numpy()).astype(np.int64)
-                ),
-            },
-            schema=LABELS_SCHEMA,
-        )
+    labels = min_labels(edges, {"cand": ("min", "nbr"), "old": ("min", "node")})
 
     converged = False
     for _ in range(max_rounds):
@@ -337,7 +307,7 @@ def propagate_min_labels(pairs_ds, n_buckets: int = 32, max_rounds: int = 50):
         nbr_labels = labels.select_columns(["node", "label"]).rename_columns(
             {"node": "nbr", "label": "cand"}
         )
-        cand_edges = lookup_join(edges, nbr_labels, key="nbr").map_batches(
+        cand_edges = lookup_join(edges, nbr_labels, key="nbr", n_buckets=n_buckets).map_batches(
             lambda t: pa.table(
                 {"node": t.column("node"), "cand": t.column("cand"), "old": pa.nulls(t.num_rows, pa.int64())}
             ),
@@ -349,11 +319,10 @@ def propagate_min_labels(pairs_ds, n_buckets: int = 32, max_rounds: int = 50):
             ),
             batch_format="pyarrow",
         )
-        # old is null on neighbor rows; pandas min ignores NaN, and every node
-        # has exactly one own-row carrying its current label
-        labels = bucket_group_apply(
-            cand_edges.union(own), ["node"], min_bucket, n_buckets
-        ).materialize()
+        # old is null on neighbor rows; min skips nulls, and every node has
+        # exactly one own-row carrying its current label
+        labels = min_labels(cand_edges.union(own),
+                            {"cand": ("min", "cand"), "old": ("min", "old")})
 
     if not converged:
         # a component whose diameter exceeds max_rounds would otherwise ship
@@ -451,6 +420,45 @@ def _gram_rows(batch: pd.DataFrame, n: int = NGRAM_N) -> pd.DataFrame:
     )
 
 
+def _posting_pairs(t: pa.Table, bucket_id: int, key: str, size: str,
+                   weight: str = None) -> pa.Table:
+    """One bucket of posting rows (key, doc_id, size[, weight]) -> one row
+    per doc pair sharing a key: id_a < id_b and both docs' sizes, plus with
+    ``weight`` the pair's weight product ``dot``. Callers count or sum the
+    rows per pair with ``group_aggregate``."""
+    df = t.to_pandas()
+    cols: Dict[str, List[np.ndarray]] = {c: [] for c in ("id_a", "id_b", "n_a", "n_b")}
+    if weight:
+        cols["dot"] = []
+    for _, g in df.groupby(key, sort=False):
+        if len(g) < 2:
+            continue
+        g = g.iloc[np.argsort(g["doc_id"].to_numpy())]
+        iu, ju = np.triu_indices(len(g), k=1)
+        ids, ns = g["doc_id"].to_numpy(), g[size].to_numpy()
+        for c, v in (("id_a", ids[iu]), ("id_b", ids[ju]), ("n_a", ns[iu]), ("n_b", ns[ju])):
+            cols[c].append(v)
+        if weight:
+            w = g[weight].to_numpy()
+            cols["dot"].append(w[iu] * w[ju])
+    return pa.table({c: pa.array(np.concatenate(v) if v else np.zeros(0, np.int64), pa.int64())
+                     for c, v in cols.items()})
+
+
+def _pair_counts(docs_ds, n: int, n_buckets: int):
+    """(id_a, id_b, n_a, n_b, inter): every doc pair sharing a word n-gram,
+    with both docs' distinct-gram counts and the shared-gram count — ONE
+    gram-keyed posting shuffle, then one pair-keyed count."""
+    import functools
+
+    from .shuffle import bucket_group_apply
+
+    grams = docs_ds.map_batches(_gram_rows, fn_kwargs={"n": n}, batch_format="pandas")
+    posting = functools.partial(_posting_pairs, key="gram", size="n_grams")
+    pairs = bucket_group_apply(grams, ["gram"], posting, n_buckets)
+    return group_aggregate(pairs, ["id_a", "id_b", "n_a", "n_b"], {"inter": ("count", None)})
+
+
 def ngram_jaccard_pairs(docs_ds, n: int = NGRAM_N, threshold: float = 0.3,
                         n_buckets: int = 32):
     """EXACT all-pairs word-n-gram Jaccard >= threshold — the distributed
@@ -459,86 +467,25 @@ def ngram_jaccard_pairs(docs_ds, n: int = NGRAM_N, threshold: float = 0.3,
 
       1. map-side: distinct n-gram hashes per doc, gram count carried;
       2. ONE shuffle keyed on gram; per posting list, co-occurring pairs
-         with partial counts (pre-aggregated in-bucket);
-      3. ONE shuffle keyed on the pair; intersection = sum of partials,
-         jaccard = inter / (n_a + n_b - inter), floor-truncated to 6dp
-         (floor, not round: numpy is half-even, SQL half-away).
+         (``_posting_pairs``);
+      3. ONE pair-keyed ``group_aggregate`` counts them (per-block partial
+         counts, then one combine): intersection = the count, jaccard =
+         inter / (n_a + n_b - inter), floor-truncated to 6dp (floor, not
+         round: numpy is half-even, SQL half-away).
 
     Skew note: a gram shared by k docs emits O(k^2) pair rows; at corpus
     scale, drop ubiquitous grams first (document-frequency filter) — exact
     semantics here keeps every gram because the oracle must match."""
-    from .shuffle import bucket_group_apply
 
-    grams = docs_ds.map_batches(_gram_rows, fn_kwargs={"n": n}, batch_format="pandas")
+    def jaccard(t: pa.Table) -> pa.Table:
+        inter = t.column("inter").to_numpy().astype(np.float64)
+        raw = inter / (t.column("n_a").to_numpy() + t.column("n_b").to_numpy() - inter)
+        keep = pa.array(raw >= threshold)
+        return pa.table({"id_a": t.column("id_a").filter(keep),
+                         "id_b": t.column("id_b").filter(keep),
+                         "jaccard": pa.array(np.floor(raw * 1e6) / 1e6).filter(keep)})
 
-    def posting_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
-        a_p: List[np.ndarray] = []
-        b_p: List[np.ndarray] = []
-        na_p: List[np.ndarray] = []
-        nb_p: List[np.ndarray] = []
-        for _, g in df.groupby("gram", sort=False):
-            if len(g) < 2:
-                continue
-            order = np.argsort(g["doc_id"].to_numpy())
-            ids = g["doc_id"].to_numpy()[order]
-            ns = g["n_grams"].to_numpy()[order]
-            iu, ju = np.triu_indices(ids.size, k=1)
-            a_p.append(ids[iu])
-            b_p.append(ids[ju])
-            na_p.append(ns[iu])
-            nb_p.append(ns[ju])
-        if not a_p:
-            return pa.table(
-                {
-                    "id_a": pa.array([], pa.int64()),
-                    "id_b": pa.array([], pa.int64()),
-                    "n_a": pa.array([], pa.int64()),
-                    "n_b": pa.array([], pa.int64()),
-                    "inter": pa.array([], pa.int64()),
-                }
-            )
-        pairs = pd.DataFrame(
-            {
-                "id_a": np.concatenate(a_p),
-                "id_b": np.concatenate(b_p),
-                "n_a": np.concatenate(na_p),
-                "n_b": np.concatenate(nb_p),
-            }
-        )
-        # in-bucket combiner: count co-occurrences before the pair shuffle
-        agg = pairs.groupby(["id_a", "id_b", "n_a", "n_b"], sort=False).size().reset_index(name="inter")
-        return pa.table(
-            {
-                "id_a": pa.array(agg["id_a"].to_numpy(), pa.int64()),
-                "id_b": pa.array(agg["id_b"].to_numpy(), pa.int64()),
-                "n_a": pa.array(agg["n_a"].to_numpy(), pa.int64()),
-                "n_b": pa.array(agg["n_b"].to_numpy(), pa.int64()),
-                "inter": pa.array(agg["inter"].to_numpy(), pa.int64()),
-            }
-        )
-
-    partials = bucket_group_apply(grams, ["gram"], posting_bucket, n_buckets)
-
-    def pair_reduce(df: pd.DataFrame, bucket_id: int) -> pa.Table:
-        agg = (
-            df.groupby(["id_a", "id_b", "n_a", "n_b"], sort=False)["inter"]
-            .sum()
-            .reset_index()
-        )
-        inter = agg["inter"].to_numpy().astype(np.float64)
-        union = (agg["n_a"] + agg["n_b"]).to_numpy() - inter
-        raw = inter / union
-        keep = raw >= threshold
-        jacc = np.floor(raw[keep] * 1e6) / 1e6
-        return pa.table(
-            {
-                "id_a": pa.array(agg["id_a"].to_numpy()[keep], pa.int64()),
-                "id_b": pa.array(agg["id_b"].to_numpy()[keep], pa.int64()),
-                "jaccard": pa.array(jacc, pa.float64()),
-            }
-        )
-
-    return bucket_group_apply(partials, ["id_a", "id_b"], pair_reduce, n_buckets)
+    return _pair_counts(docs_ds, n, n_buckets).map_batches(jaccard, batch_format="pyarrow")
 
 
 def ngram_jaccard_prefix(docs_ds, n: int = NGRAM_N, threshold: float = 0.3,
@@ -563,17 +510,20 @@ def ngram_jaccard_prefix(docs_ds, n: int = NGRAM_N, threshold: float = 0.3,
     (2) doc-keyed shuffle packs each doc's df-ordered gram set into one
     binary blob (survives every Arrow<->pandas hop, unlike list columns);
     (3) map-side prefix explode — no shuffle; (4) gram-keyed shuffle over
-    prefix postings emits length-filtered candidate pairs; (5) pair-keyed
-    dedup shuffle; (6) two blob lookups (broadcast under the gate, Bloom-
-    pruned bucket join past it) + a vectorized sorted-set intersection
-    verify each candidate exactly. False negatives: none (lemma above);
-    false positives: killed by verification, so the result is bit-equal
-    to the exhaustive variant."""
+    prefix postings emits candidate pairs, length-filtered map-side; (5)
+    pair-keyed distinct (``group_aggregate``); (6) two blob lookups
+    (broadcast under the gate, Bloom-pruned bucket join past it) + a
+    vectorized sorted-set intersection verify each candidate exactly.
+    False negatives: none (lemma above); false positives: killed by
+    verification, so the result is bit-equal to the exhaustive variant."""
+    import functools
+
     from .shuffle import bucket_group_apply, lookup_join
 
     grams = docs_ds.map_batches(_gram_rows, fn_kwargs={"n": n}, batch_format="pandas")
 
-    def df_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def df_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         # bucket holds EVERY row of its grams, so posting size == exact df
         dfreq = df.groupby("gram", sort=False)["doc_id"].transform("size")
         return pa.table(
@@ -587,11 +537,11 @@ def ngram_jaccard_prefix(docs_ds, n: int = NGRAM_N, threshold: float = 0.3,
 
     withdf = bucket_group_apply(grams, ["gram"], df_bucket, n_buckets)
 
-    def set_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
-        doc = df["doc_id"].to_numpy()
-        gram = df["gram"].to_numpy()
-        dfreq = df["df"].to_numpy()
-        ng = df["n_grams"].to_numpy()
+    def set_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
+        doc = t.column("doc_id").to_numpy()
+        gram = t.column("gram").to_numpy()
+        dfreq = t.column("df").to_numpy()
+        ng = t.column("n_grams").to_numpy()
         order = np.lexsort((gram, dfreq, doc))
         doc_s = doc[order]
         gram_s = gram[order].astype("<i8")
@@ -626,71 +576,19 @@ def ngram_jaccard_prefix(docs_ds, n: int = NGRAM_N, threshold: float = 0.3,
     prefix = sets.map_batches(prefix_rows, fn_kwargs={"t": threshold},
                               batch_format="pandas")
 
-    def cand_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
-        a_p: List[np.ndarray] = []
-        b_p: List[np.ndarray] = []
-        na_p: List[np.ndarray] = []
-        nb_p: List[np.ndarray] = []
-        for _, g in df.groupby("gram", sort=False):
-            if len(g) < 2:
-                continue
-            order = np.argsort(g["doc_id"].to_numpy())
-            ids = g["doc_id"].to_numpy()[order]
-            ns = g["n_grams"].to_numpy()[order]
-            iu, ju = np.triu_indices(ids.size, k=1)
-            a_p.append(ids[iu])
-            b_p.append(ids[ju])
-            na_p.append(ns[iu])
-            nb_p.append(ns[ju])
-        empty = pa.table(
-            {
-                "id_a": pa.array([], pa.int64()),
-                "id_b": pa.array([], pa.int64()),
-                "n_a": pa.array([], pa.int64()),
-                "n_b": pa.array([], pa.int64()),
-            }
-        )
-        if not a_p:
-            return empty
-        ia = np.concatenate(a_p)
-        ib = np.concatenate(b_p)
-        na = np.concatenate(na_p)
-        nb = np.concatenate(nb_p)
-        # length filter: jaccard <= min/max, so min >= t*max is necessary.
-        # 1e-9 slack errs toward KEEPING borderline pairs (verification is
-        # exact); a float rounding drop here would be a missed true pair.
-        keep = np.minimum(na, nb) >= threshold * np.maximum(na, nb) - 1e-9
-        if not keep.any():
-            return empty
-        cand = pd.DataFrame(
-            {"id_a": ia[keep], "id_b": ib[keep], "n_a": na[keep], "n_b": nb[keep]}
-        ).drop_duplicates(["id_a", "id_b"])
-        return pa.table(
-            {
-                "id_a": pa.array(cand["id_a"].to_numpy(), pa.int64()),
-                "id_b": pa.array(cand["id_b"].to_numpy(), pa.int64()),
-                "n_a": pa.array(cand["n_a"].to_numpy(), pa.int64()),
-                "n_b": pa.array(cand["n_b"].to_numpy(), pa.int64()),
-            }
-        )
+    def length_filter(t: pa.Table) -> pa.Table:
+        # jaccard <= min/max, so min >= t*max is necessary. 1e-9 slack errs
+        # toward KEEPING borderline pairs (verification is exact); a float
+        # rounding drop here would be a missed true pair.
+        na, nb = t.column("n_a").to_numpy(), t.column("n_b").to_numpy()
+        return t.filter(pa.array(np.minimum(na, nb) >= threshold * np.maximum(na, nb) - 1e-9))
 
-    cands = bucket_group_apply(prefix, ["gram"], cand_bucket, n_buckets)
-
-    def pair_dedupe(df: pd.DataFrame, bucket_id: int) -> pa.Table:
-        # a pair found via several prefix grams in DIFFERENT gram-buckets
-        # survives cand_bucket's local dedup; this pair-keyed pass makes it
-        # globally unique before the (more expensive) blob verification
-        d = df.drop_duplicates(["id_a", "id_b"])
-        return pa.table(
-            {
-                "id_a": pa.array(d["id_a"].to_numpy(), pa.int64()),
-                "id_b": pa.array(d["id_b"].to_numpy(), pa.int64()),
-                "n_a": pa.array(d["n_a"].to_numpy(), pa.int64()),
-                "n_b": pa.array(d["n_b"].to_numpy(), pa.int64()),
-            }
-        )
-
-    uniq_cands = bucket_group_apply(cands, ["id_a", "id_b"], pair_dedupe, n_buckets)
+    posting = functools.partial(_posting_pairs, key="gram", size="n_grams")
+    cands = bucket_group_apply(prefix, ["gram"], posting, n_buckets).map_batches(
+        length_filter, batch_format="pyarrow")
+    # a pair found via several prefix grams is made globally unique before
+    # the (more expensive) blob verification
+    uniq_cands = group_aggregate(cands, ["id_a", "id_b", "n_a", "n_b"], {})
 
     # per-side renamed blob projections: lookup_join only suffixes clashes
     # it can SEE (lazy left schemas are assumed disjoint), so disjoint
@@ -799,7 +697,8 @@ def duplicate_ngram_spans(docs_ds, k: int = DUP_NGRAM_K, min_count: int = 2,
         _gram_pos_rows, fn_kwargs={"k": k}, batch_format="pandas"
     )
 
-    def dup_positions(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def dup_positions(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         cnt = df.groupby("gram", sort=False)["gram"].transform("size")
         kept = df[cnt.to_numpy() >= min_count]
         return pa.table(
@@ -811,8 +710,8 @@ def duplicate_ngram_spans(docs_ds, k: int = DUP_NGRAM_K, min_count: int = 2,
 
     dups = bucket_group_apply(grams, ["gram"], dup_positions, n_buckets)
 
-    def spans_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
-        if not len(df):
+    def spans_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
+        if not t.num_rows:
             return pa.table(
                 {
                     "doc_id": pa.array([], pa.int64()),
@@ -821,8 +720,8 @@ def duplicate_ngram_spans(docs_ds, k: int = DUP_NGRAM_K, min_count: int = 2,
                     "n_grams": pa.array([], pa.int64()),
                 }
             )
-        doc = df["doc_id"].to_numpy()
-        pos = df["pos"].to_numpy()
+        doc = t.column("doc_id").to_numpy()
+        pos = t.column("pos").to_numpy()
         order = np.lexsort((pos, doc))
         doc, pos = doc[order], pos[order]
         new_span = np.ones(len(doc), dtype=bool)
@@ -945,7 +844,8 @@ def simhash_near_pairs(docs_ds, hamming_max: int = HAMMING_MAX, concurrency: int
 
     rows = docs_ds.map_batches(simhash_rows, batch_format="pandas")
 
-    def bucket_pairs(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def bucket_pairs(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         a_out: List[int] = []
         b_out: List[int] = []
         d_out: List[int] = []
@@ -1179,7 +1079,8 @@ def embedding_lsh_pairs(embeddings_ds, threshold: float = 0.9, seed: int = 11,
         batch_format="pyarrow",
     )
 
-    def band_bucket_pairs(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def band_bucket_pairs(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         a_out: List[int] = []
         b_out: List[int] = []
         s_out: List[float] = []
@@ -1238,17 +1139,20 @@ def tfidf_cosine_pairs(docs_ds, threshold: float = 0.8, min_df: int = 2,
     (sqrt is correctly rounded) — bit-exact parity, threshold on the raw
     value, output floored to 6dp.
 
-    Stages (the ngram_jaccard_prefix skeleton, dedup.py:547): term-keyed
+    Stages (the ngram_jaccard_prefix skeleton): term-keyed
     bucket attaches each term's exact global df (and drops terms outside
     [min_df, max_df] — a df-1 term cannot pair, and ``max_df`` is the
     standard APSS hot-term guard: at corpus scale ubiquitous terms carry
     near-zero idf weight but O(k^2) pair cost, so exclude them IN BOTH
     ENGINES); doc-keyed bucket computes weights + the doc's squared norm;
-    term-keyed posting bucket emits per-pair dot PARTIALS (in-bucket
-    combined); pair-keyed reduce sums partials and thresholds. Weights are
+    term-keyed posting bucket emits per-pair weight products
+    (``_posting_pairs``); a pair-keyed ``group_aggregate`` sums them and a
+    map thresholds. Weights are
     guarded below 2^31 so per-term products fit int64 exactly; corpora
     beyond that need a coarser idf grid (the guard raises loudly rather
     than overflowing silently)."""
+    import functools
+
     from .shuffle import bucket_group_apply
     from .textstats import _VOCAB_RE
 
@@ -1275,7 +1179,8 @@ def tfidf_cosine_pairs(docs_ds, threshold: float = 0.8, min_df: int = 2,
 
     tf = docs_ds.map_batches(tf_rows, batch_format="pandas")
 
-    def df_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def df_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         # the bucket holds EVERY row of its terms, so group size == exact df
         dfreq = df.groupby("term", sort=False)["doc_id"].transform("size").to_numpy()
         keep = dfreq >= min_df
@@ -1294,7 +1199,8 @@ def tfidf_cosine_pairs(docs_ds, threshold: float = 0.8, min_df: int = 2,
 
     weighted = bucket_group_apply(tf, ["term"], df_bucket, n_buckets)
 
-    def norm_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def norm_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         w = df["w"].to_numpy()
         if w.size and w.max() >= (1 << 31):
             raise ValueError(
@@ -1318,81 +1224,21 @@ def tfidf_cosine_pairs(docs_ds, threshold: float = 0.8, min_df: int = 2,
 
     normed = bucket_group_apply(weighted, ["doc_id"], norm_bucket, n_buckets)
 
-    def posting_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
-        a_p: List[np.ndarray] = []
-        b_p: List[np.ndarray] = []
-        na_p: List[np.ndarray] = []
-        nb_p: List[np.ndarray] = []
-        dot_p: List[np.ndarray] = []
-        for _, g in df.groupby("term", sort=False):
-            if len(g) < 2:
-                continue
-            order = np.argsort(g["doc_id"].to_numpy())
-            ids = g["doc_id"].to_numpy()[order]
-            ws = g["w"].to_numpy()[order]
-            ns = g["norm"].to_numpy()[order]
-            iu, ju = np.triu_indices(ids.size, k=1)
-            a_p.append(ids[iu])
-            b_p.append(ids[ju])
-            na_p.append(ns[iu])
-            nb_p.append(ns[ju])
-            dot_p.append(ws[iu] * ws[ju])
-        empty = pa.table(
-            {
-                "id_a": pa.array([], pa.int64()),
-                "id_b": pa.array([], pa.int64()),
-                "n_a": pa.array([], pa.int64()),
-                "n_b": pa.array([], pa.int64()),
-                "dot": pa.array([], pa.int64()),
-            }
-        )
-        if not a_p:
-            return empty
-        pairs = pd.DataFrame(
-            {
-                "id_a": np.concatenate(a_p),
-                "id_b": np.concatenate(b_p),
-                "n_a": np.concatenate(na_p),
-                "n_b": np.concatenate(nb_p),
-                "dot": np.concatenate(dot_p),
-            }
-        )
-        # in-bucket combiner: sum dot partials before the pair shuffle
-        agg = pairs.groupby(["id_a", "id_b", "n_a", "n_b"], sort=False)["dot"].sum().reset_index()
-        return pa.table(
-            {
-                "id_a": pa.array(agg["id_a"].to_numpy(), pa.int64()),
-                "id_b": pa.array(agg["id_b"].to_numpy(), pa.int64()),
-                "n_a": pa.array(agg["n_a"].to_numpy(), pa.int64()),
-                "n_b": pa.array(agg["n_b"].to_numpy(), pa.int64()),
-                "dot": pa.array(agg["dot"].to_numpy(), pa.int64()),
-            }
-        )
+    posting = functools.partial(_posting_pairs, key="term", size="norm", weight="w")
+    pairs = bucket_group_apply(normed, ["term"], posting, n_buckets)
+    dots = group_aggregate(pairs, ["id_a", "id_b", "n_a", "n_b"], {"dot": ("sum", "dot")})
 
-    partials = bucket_group_apply(normed, ["term"], posting_bucket, n_buckets)
+    def cosine(t: pa.Table) -> pa.Table:
+        raw = t.column("dot").to_numpy().astype(np.float64) / (
+            np.sqrt(t.column("n_a").to_numpy().astype(np.float64))
+            * np.sqrt(t.column("n_b").to_numpy().astype(np.float64))
+        )
+        keep = pa.array(raw >= threshold)
+        return pa.table({"id_a": t.column("id_a").filter(keep),
+                         "id_b": t.column("id_b").filter(keep),
+                         "cosine": pa.array(np.floor(raw * 1e6) / 1e6).filter(keep)})
 
-    def pair_reduce(df: pd.DataFrame, bucket_id: int) -> pa.Table:
-        agg = (
-            df.groupby(["id_a", "id_b", "n_a", "n_b"], sort=False)["dot"]
-            .sum()
-            .reset_index()
-        )
-        dot = agg["dot"].to_numpy().astype(np.float64)
-        raw = dot / (
-            np.sqrt(agg["n_a"].to_numpy().astype(np.float64))
-            * np.sqrt(agg["n_b"].to_numpy().astype(np.float64))
-        )
-        keep = raw >= threshold
-        cos = np.floor(raw[keep] * 1e6) / 1e6
-        return pa.table(
-            {
-                "id_a": pa.array(agg["id_a"].to_numpy()[keep], pa.int64()),
-                "id_b": pa.array(agg["id_b"].to_numpy()[keep], pa.int64()),
-                "cosine": pa.array(cos, pa.float64()),
-            }
-        )
-
-    return bucket_group_apply(partials, ["id_a", "id_b"], pair_reduce, n_buckets)
+    return dots.map_batches(cosine, batch_format="pyarrow")
 
 
 def tfidf_cosine_pairs_sql(threshold: float = 0.8, min_df: int = 2,
@@ -1446,73 +1292,18 @@ def ngram_containment_pairs(docs_ds, n: int = NGRAM_N, threshold: float = 0.5,
     1997). Both directions of every co-occurring pair are evaluated; a
     mutual near-copy emits two rows.
 
-    Scale shape: identical to ngram_jaccard_pairs (one gram-keyed posting
-    shuffle with in-bucket pair combining, one pair-keyed reduce — the
-    same skew note applies: cap or df-filter ubiquitous grams past oracle
+    Scale shape: identical to ngram_jaccard_pairs (the same ``_pair_counts``
+    — one gram-keyed posting shuffle, one pair-keyed count — and the same
+    skew note applies: cap or df-filter ubiquitous grams past oracle
     scale); the only change is the finalizer emitting per-direction
     ratios. Ratio floor-truncated to 6dp, threshold on the raw value."""
-    from .shuffle import bucket_group_apply
 
-    grams = docs_ds.map_batches(_gram_rows, fn_kwargs={"n": n}, batch_format="pandas")
-
-    def posting_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
-        a_p: List[np.ndarray] = []
-        b_p: List[np.ndarray] = []
-        na_p: List[np.ndarray] = []
-        nb_p: List[np.ndarray] = []
-        for _, g in df.groupby("gram", sort=False):
-            if len(g) < 2:
-                continue
-            order = np.argsort(g["doc_id"].to_numpy())
-            ids = g["doc_id"].to_numpy()[order]
-            ns = g["n_grams"].to_numpy()[order]
-            iu, ju = np.triu_indices(ids.size, k=1)
-            a_p.append(ids[iu])
-            b_p.append(ids[ju])
-            na_p.append(ns[iu])
-            nb_p.append(ns[ju])
-        if not a_p:
-            return pa.table(
-                {
-                    "id_a": pa.array([], pa.int64()),
-                    "id_b": pa.array([], pa.int64()),
-                    "n_a": pa.array([], pa.int64()),
-                    "n_b": pa.array([], pa.int64()),
-                    "inter": pa.array([], pa.int64()),
-                }
-            )
-        pairs = pd.DataFrame(
-            {
-                "id_a": np.concatenate(a_p),
-                "id_b": np.concatenate(b_p),
-                "n_a": np.concatenate(na_p),
-                "n_b": np.concatenate(nb_p),
-            }
-        )
-        agg = pairs.groupby(["id_a", "id_b", "n_a", "n_b"], sort=False).size().reset_index(name="inter")
-        return pa.table(
-            {
-                "id_a": pa.array(agg["id_a"].to_numpy(), pa.int64()),
-                "id_b": pa.array(agg["id_b"].to_numpy(), pa.int64()),
-                "n_a": pa.array(agg["n_a"].to_numpy(), pa.int64()),
-                "n_b": pa.array(agg["n_b"].to_numpy(), pa.int64()),
-                "inter": pa.array(agg["inter"].to_numpy(), pa.int64()),
-            }
-        )
-
-    partials = bucket_group_apply(grams, ["gram"], posting_bucket, n_buckets)
-
-    def pair_reduce(df: pd.DataFrame, bucket_id: int) -> pa.Table:
-        agg = (
-            df.groupby(["id_a", "id_b", "n_a", "n_b"], sort=False)["inter"]
-            .sum()
-            .reset_index()
-        )
-        inter = agg["inter"].to_numpy().astype(np.float64)
-        ia = agg["id_a"].to_numpy()
-        ib = agg["id_b"].to_numpy()
-        ca = inter / agg["n_a"].to_numpy()          # a contained in b
-        cb = inter / agg["n_b"].to_numpy()          # b contained in a
+    def containment(t: pa.Table) -> pa.Table:
+        inter = t.column("inter").to_numpy().astype(np.float64)
+        ia = t.column("id_a").to_numpy()
+        ib = t.column("id_b").to_numpy()
+        ca = inter / t.column("n_a").to_numpy()          # a contained in b
+        cb = inter / t.column("n_b").to_numpy()          # b contained in a
         ka = ca >= threshold
         kb = cb >= threshold
         sub = np.concatenate([ia[ka], ib[kb]])
@@ -1526,7 +1317,7 @@ def ngram_containment_pairs(docs_ds, n: int = NGRAM_N, threshold: float = 0.5,
             }
         )
 
-    return bucket_group_apply(partials, ["id_a", "id_b"], pair_reduce, n_buckets)
+    return _pair_counts(docs_ds, n, n_buckets).map_batches(containment, batch_format="pyarrow")
 
 
 def ngram_containment_pairs_sql(n: int = NGRAM_N, threshold: float = 0.5) -> str:
@@ -1690,7 +1481,7 @@ def minhash_dedup_delta(old_bands, new_docs_ds, union_docs_ds,
     old_tagged = old_bands.map_batches(tag(0), batch_format="pandas")
     bands = old_tagged.union(new_bands)
 
-    def pairs_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def pairs_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
         a_parts: List[np.ndarray] = []
         b_parts: List[np.ndarray] = []
         n_truncated, n_dropped = 0, 0
@@ -1698,7 +1489,7 @@ def minhash_dedup_delta(old_bands, new_docs_ds, union_docs_ds,
         # group is old-only (that is the whole point of the delta pass), so
         # drop them in one transform instead of visiting ~|bands| singleton
         # groups in Python — measured 15x on a 30k-doc boilerplate corpus
-        df = df.drop_duplicates(["band_id", "band_hash", "doc_id"])
+        df = t.to_pandas().drop_duplicates(["band_id", "band_hash", "doc_id"])
         has_new = df.groupby(["band_id", "band_hash"], sort=False)[
             "is_new"].transform("max")
         df = df[has_new == 1]
@@ -1740,19 +1531,7 @@ def minhash_dedup_delta(old_bands, new_docs_ds, union_docs_ds,
 
     pairs = bucket_group_apply(bands, ["band_id", "band_hash"], pairs_bucket,
                                n_buckets)
-
-    def distinct_pairs(df: pd.DataFrame, bucket_id: int) -> pa.Table:
-        d = df.drop_duplicates(["id_a", "id_b"])
-        return pa.table(
-            {
-                "id_a": pa.array(d["id_a"].to_numpy(), pa.int64()),
-                "id_b": pa.array(d["id_b"].to_numpy(), pa.int64()),
-            }
-        )
-
-    cands = compact_blocks(
-        bucket_group_apply(pairs, ["id_a", "id_b"], distinct_pairs, n_buckets)
-    )
+    cands = compact_blocks(group_aggregate(pairs, ["id_a", "id_b"], {}))
     return verify_jaccard_pairs(cands, union_docs_ds, threshold=threshold,
                                 use_words=True)
 
@@ -1775,7 +1554,7 @@ def dedup_keep_best(docs_ds, threshold: float = JACCARD_THRESHOLD,
     quality_score, n_members), one row per cluster. Rows-only as a query
     (cluster ids are model output); pinned vs a serial pandas reference in
     tests/test_keep_best.py."""
-    from .shuffle import bucket_group_apply_arrow, bucket_hash_join
+    from .shuffle import bucket_group_apply, bucket_hash_join
     from .textstats import quality_features
 
     clusters = minhash_dedup(docs_ds, threshold=threshold,
@@ -1808,6 +1587,6 @@ def dedup_keep_best(docs_ds, threshold: float = JACCARD_THRESHOLD,
             }
         )
 
-    return bucket_group_apply_arrow(
+    return bucket_group_apply(
         joined, ["cluster_id"], best_per_cluster, n_buckets
     )

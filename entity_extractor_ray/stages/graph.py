@@ -109,7 +109,7 @@ def material_key_rows(batch: pa.Table) -> pa.Table:
     )
 
 
-def _material_pick_first(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+def _material_pick_first(t: pa.Table, bucket_id: int) -> pa.Table:
     """Per material_id keep the display name of the FIRST mention (the
     deterministic stand-in for the reference's first-created-node-wins) —
     PLUS one MFR row per distinct manufacturer in the bucket. The bucket
@@ -119,7 +119,7 @@ def _material_pick_first(df: pd.DataFrame, bucket_id: int) -> pa.Table:
     full-table groupby in the nodes build)."""
     from .extract import GEO_TYPE
 
-    df = df.sort_values("order_key", kind="mergesort")
+    df = t.to_pandas().sort_values("order_key", kind="mergesort")
     firsts = df.drop_duplicates("material_id", keep="first")
     mat_ids = firsts["material_id"].tolist()
     mat_names = firsts["name"].tolist()
@@ -244,8 +244,8 @@ def edge_pick_last(t: pa.Table, bucket_id: int) -> pa.Table:
     shuffle over ``edge_candidates``: per (src, dst, pred) the
     LAST-processed weight wins (artifact_ingestor_service.py:1086-1106).
     Per-key multiplicity is bounded by the J1 guard, so no
-    pre-aggregation is needed. Arrow-native bucket fn (arrow_groups path) — the group never converts
-    to pandas object dtype."""
+    pre-aggregation is needed. The body stays in Arrow: the bucket never
+    converts to pandas object dtype."""
     lasts = _last_per_edge_key(t)
     return pa.table(
         {
@@ -432,7 +432,7 @@ def rollup_status(edges_ds, child_status_ds, n_buckets: int = 64, num_partitions
     ``functions.decision_tables.parent_pfas_resolution`` (equality pinned
     against a row-level spec by tests/test_rollup_partials.py, and by
     tests/test_rollup_fixed_point.py and the kg e2e oracle tests)."""
-    from .shuffle import bucket_group_apply_arrow, lookup_join
+    from .shuffle import bucket_group_apply, lookup_join
 
     contains = edges_ds.filter(expr="pred == 'CONTAINS'").select_columns(["src", "dst"])
     child = child_status_ds.select_columns(
@@ -449,7 +449,7 @@ def rollup_status(edges_ds, child_status_ds, n_buckets: int = 64, num_partitions
     # per distinct parent per batch regardless.
     slim = joined.select_columns(["src", "pfas_status", "pfas_information_source"])
     partials = slim.map_batches(_rollup_partial, batch_format="pyarrow")
-    return bucket_group_apply_arrow(partials, ["src"], _rollup_merge_bucket, n_buckets)
+    return bucket_group_apply(partials, ["src"], _rollup_merge_bucket, n_buckets)
 
 
 def _status_checksum(status_ds) -> int:
@@ -742,7 +742,8 @@ def material_comentions(edges_ds, n_buckets: int = 32,
 
     slim = edges_ds.map_batches(contains_only, batch_format="pyarrow")
 
-    def pairs_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def pairs_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         a_parts: List[np.ndarray] = []
         b_parts: List[np.ndarray] = []
         n_truncated = 0
@@ -985,9 +986,9 @@ def triangle_count(pairs_ds, a_col: str = "mat_a", b_col: str = "mat_b",
 
     oriented = e2.map_batches(orient, batch_format="pyarrow")
 
-    def wedge_bucket(df, bucket_id: int) -> pa.Table:
+    def wedge_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
         out = []
-        df = df.sort_values(["src", "deg_dst", "dst"], kind="mergesort")
+        df = t.to_pandas().sort_values(["src", "deg_dst", "dst"], kind="mergesort")
         for _, g in df.groupby("src", sort=False):
             k = len(g)
             if k < 2:
@@ -1083,11 +1084,9 @@ def label_propagation(pairs_ds, a_col: str = "mat_a", b_col: str = "mat_b",
             }
         )
 
-    def argmax_bucket(df, bucket_id: int) -> pa.Table:
-        import pandas as pd  # noqa: F401
-
+    def argmax_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
         merged = (
-            df.groupby(["dst", "label"], sort=False)["n"].sum().reset_index()
+            t.to_pandas().groupby(["dst", "label"], sort=False)["n"].sum().reset_index()
         )
         order = np.lexsort(
             (
@@ -1363,7 +1362,8 @@ def random_walks(edges_ds, walks_per_node: int = 2, walk_len: int = 4,
     out = visits_of(state, 0)
 
     for t_step in range(1, walk_len + 1):
-        def step_bucket(df: pd.DataFrame, bucket_id: int, _t=t_step) -> pa.Table:
+        def step_bucket(t: pa.Table, bucket_id: int, _t=t_step) -> pa.Table:
+            df = t.to_pandas()
             empty = pa.table(
                 {
                     "kind": pa.array([], pa.int8()),

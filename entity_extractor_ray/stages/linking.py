@@ -171,7 +171,7 @@ def _name_candidate_pairs(
     ]
 
 
-def _union_find_bucket(df: pd.DataFrame, bucket_id: int,
+def _union_find_bucket(t: pa.Table, bucket_id: int,
                        name_blocking: bool = False,
                        name_jaccard: float = 0.7) -> pa.Table:
     """One hash bucket of manufacturers; per manufacturer, union-find over the
@@ -195,7 +195,7 @@ def _union_find_bucket(df: pd.DataFrame, bucket_id: int,
 
     # merge per-batch partials: same (mfr, name, cas) key from different
     # batches folds to global min/max order (vectorized lexsort merge)
-    df = _merge_distinct_keys(df)
+    df = _merge_distinct_keys(t.to_pandas())
 
     # FAST PATH: a cluster of size >= 2 requires a shared name or shared
     # non-empty cas within the manufacturer, so keys involved in neither
@@ -498,7 +498,8 @@ def _refine_hot_manufacturers(partial_ds, candidates, threshold: int,
             }
         )
 
-    def estimate_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def estimate_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         est = df.groupby("manufacturer", sort=False)["h"].apply(
             lambda s: _kmv_estimate(s.to_numpy(), k)
         )
@@ -654,7 +655,8 @@ def _component_mapping(rows_ds, n_buckets: int = 64):
 
     labeled = joined.map_batches(fill_comp, batch_format="pyarrow")
 
-    def comp_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def comp_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         out: Dict[str, List] = {n: [] for n in MAPPING_SCHEMA.names}
 
         def emit(kind, probe, entity, name=None, cas=None, mfr=None):
@@ -776,13 +778,13 @@ def link_chem_mentions(chem_mentions_ds, mapping_ds, num_partitions: int = 16):
                        n_buckets=num_partitions, unique_right=True)
 
 
-def _fold_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+def _fold_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
     """Per-entity ordered fold of (tag, source) mention streams into the
     final (status, source) — fold_chemical_mentions over (conv, turn) order.
     Verification-scale reference path (ships every mention of an entity into
     one group); the production path is the associative segment composition
     in fold_chemical_states."""
-    df = df.sort_values("order_key", kind="mergesort")
+    df = t.to_pandas().sort_values("order_key", kind="mergesort")
     ids, statuses, sources, counts, coerced = [], [], [], [], []
     for entity_id, g in df.groupby("entity_id", sort=False):
         status, source, n_coerced = fold_chemical_mentions_total(
@@ -1033,7 +1035,8 @@ def fold_chemical_states(linked_ds, n_buckets: int = 64):
     status_by_state = np.array([st for st, _ in states], dtype=object)
     source_by_state = np.array([src for _, src in states], dtype=object)
 
-    def compose_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def compose_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         # FAST PATH: almost every entity fits inside one sorted block, so it
         # has exactly ONE segment — its answer IS the lead result, decoded
         # vectorized. Only block-spanning entities need composition.

@@ -263,16 +263,6 @@ def decode_media(media_ds, concurrency=(1, 2), batch_size: int = 16,
     )
 
 
-def frame_sample(media_ds, every_n: int = 4):
-    """Frame-sampling pattern for video-ish payload streams: keep every n-th
-    item per mime group (a flat_map-shaped filter, vectorized)."""
-    def sample(batch: pa.Table) -> pa.Table:
-        ids = batch.column("item_id").to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(ids % every_n == 0))
-
-    return media_ds.map_batches(sample, batch_format="pyarrow")
-
-
 RESIZED_SCHEMA = pa.schema(
     [
         ("item_id", pa.int64()),
@@ -286,8 +276,8 @@ RESIZED_SCHEMA = pa.schema(
 
 
 class ImageResizeStub:
-    """Actor-pool resize/thumbnail stage (the third multimodal kernel next
-    to decode and frame-sample; reference renders fixed-dpi page pixmaps at
+    """Actor-pool resize/thumbnail stage (the multimodal kernel next to
+    decode; reference renders fixed-dpi page pixmaps at
     file_analysis_service.py:566-583 — resize-to-target is the same
     shape). __init__ fixes the target box once per actor; __call__ emits a
     bounded-size thumbnail payload per item, so downstream batches have a

@@ -34,22 +34,6 @@ logger = logging.getLogger("entity_extractor_ray.profile")
 PROFILE_K = 65536
 
 
-def _empty_partial() -> pa.Table:
-    return pa.table(
-        {
-            "col": pa.array([], pa.string()),
-            "n_rows": pa.array([], pa.int64()),
-            "n_null": pa.array([], pa.int64()),
-            "kmv": pa.array([], pa.list_(pa.uint64())),
-            "trunc": pa.array([], pa.bool_()),
-            "min_num": pa.array([], pa.float64()),
-            "max_num": pa.array([], pa.float64()),
-            "min_str": pa.array([], pa.string()),
-            "max_str": pa.array([], pa.string()),
-        }
-    )
-
-
 def profile_table(ds, columns=None, k: int = PROFILE_K, n_buckets: int = 4):
     """Profile ``columns`` (default: every column) of a Dataset.
 
@@ -122,7 +106,8 @@ def profile_table(ds, columns=None, k: int = PROFILE_K, n_buckets: int = 4):
 
     pre = ds.map_batches(partial, batch_format="pyarrow")
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         out = {key: [] for key in (
             "col", "n_rows", "n_null", "n_distinct", "exact",
             "min_num", "max_num", "min_str", "max_str",
@@ -240,7 +225,8 @@ def snapshot_diff(a_ds, b_ds, key_col: str, content_col: str, n_buckets: int = 1
         b_ds.map_batches(tagged(1), batch_format="pyarrow")
     )
 
-    def classify(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def classify(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         key = df[key_col].to_numpy()
         side = df["side"].to_numpy()
         h = df["h"].to_numpy()

@@ -77,7 +77,8 @@ def stratified_sample(
 
     pre = ds.map_batches(local_bottomk, batch_format="pandas")
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         top = (
             df.sort_values([group_col, "__h", key_col], kind="mergesort")
             .groupby(group_col, sort=False)
@@ -146,8 +147,8 @@ def rebalance_sources(
         local_bottomq, batch_format="pandas"
     )
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
-        df = df.sort_values([group_col, "__h", key_col], kind="mergesort")
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas().sort_values([group_col, "__h", key_col], kind="mergesort")
         rank = df.groupby(group_col, sort=False).cumcount()
         gate = df[group_col].map(quotas).to_numpy(np.int64)
         kept = df.loc[rank.to_numpy() < gate]
@@ -537,8 +538,8 @@ def temperature_rebalance(ds, budget: int, key_col: str = "doc_id",
         local_bottomq, batch_format="pandas"
     )
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
-        df = df.sort_values([group_col, "__h", key_col], kind="mergesort")
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas().sort_values([group_col, "__h", key_col], kind="mergesort")
         rank = df.groupby(group_col, sort=False).cumcount()
         gate = df[group_col].map(quotas).to_numpy(np.int64)
         kept = df.loc[rank.to_numpy() < gate]

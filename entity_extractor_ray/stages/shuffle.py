@@ -3,8 +3,9 @@
 ``ds.groupby(key).map_groups(fn)`` calls Python once per key — ruinous when
 there are millions of tiny groups (one per conversation / entity). Instead we
 shuffle ONCE on ``bucket = stable_hash64(key) % n_buckets`` and hand each
-*bucket* (thousands of keys) to one vectorized call, which does a local
-pandas groupby. Properties:
+*bucket* (thousands of keys) to one vectorized call as an Arrow table; a
+bucket function that computes in pandas converts once on its first line.
+Properties:
 
   * one all-to-all exchange, n_buckets output partitions (tune to cluster);
   * hot KEYS don't skew the shuffle as long as per-key work was pre-reduced
@@ -13,9 +14,12 @@ pandas groupby. Properties:
   * bucket ids double as deterministic output partition ids for lineage,
     metrics and resumable writes.
 
-Grouped SUM/COUNT/MIN/MAX go through ``group_aggregate``: one Arrow
-group-by partial per batch, then one ``bucket_group_apply_arrow`` combine.
-The engine calls no Ray-native ``groupby(...).aggregate()``: on the pandas
+``_apply_buckets`` holds the engine's only ``map_groups``: the one bucket
+apply ``bucket_group_apply``, its per-bucket-commit form
+``bucket_group_apply_partitioned`` and ``bucket_hash_join`` all run through
+it. Grouped SUM/COUNT/MIN/MAX and DISTINCT go through ``group_aggregate``:
+one Arrow group-by partial per batch, then one bucket-apply combine. The
+engine calls no Ray-native ``groupby(...).aggregate()``: on the pandas
 blocks ``exact_dedup`` aggregates, that operator took 1.4-2.1 s per query
 where ``group_aggregate`` takes 0.2-0.3 s (perfbench ``queries``, 1 CPU).
 """
@@ -89,53 +93,36 @@ def _add_bucket(batch: pa.Table, key_cols: Sequence[str], n_buckets: int) -> pa.
     return batch.append_column(BUCKET_COL, pa.array(buckets, pa.int64()))
 
 
-def bucket_group_apply(
-    ds,
-    key_cols: Sequence[str],
-    bucket_fn: Callable[[pd.DataFrame, int], pa.Table],
-    n_buckets: int = 64,
-):
-    """Apply ``bucket_fn(bucket_df, bucket_id) -> pa.Table`` to each hash
-    bucket of ``key_cols``. All rows of any single key land in exactly one
-    bucket. ``bucket_fn`` must return an Arrow table with a fixed schema."""
-    bucketed = ds.map_batches(
+def _bucketed(ds, key_cols: Sequence[str], n_buckets: int):
+    return ds.map_batches(
         _add_bucket,
         fn_kwargs={"key_cols": list(key_cols), "n_buckets": n_buckets},
         batch_format="pyarrow",
     )
 
-    def run(group: pd.DataFrame) -> pa.Table:
-        if group.empty:
-            raise ValueError("empty group from map_groups")  # should not happen
-        bucket_id = int(group[BUCKET_COL].iloc[0])
-        return bucket_fn(group.drop(columns=[BUCKET_COL]), bucket_id)
 
-    return bucketed.groupby(BUCKET_COL).map_groups(run, batch_format="pandas")
+def _apply_buckets(bucketed, fn: Callable[[pa.Table, int], pa.Table]):
+    """The engine's one exchange: group ``bucketed`` on its bucket column
+    and call ``fn(rows_without_the_bucket_column, bucket_id)`` per bucket."""
+
+    def run(group: pa.Table) -> pa.Table:
+        bucket_id = int(group.column(BUCKET_COL)[0].as_py())
+        return fn(group.drop_columns([BUCKET_COL]), bucket_id)
+
+    return bucketed.groupby(BUCKET_COL).map_groups(run, batch_format="pyarrow")
 
 
-def bucket_group_apply_arrow(
+def bucket_group_apply(
     ds,
     key_cols: Sequence[str],
     bucket_fn: Callable[[pa.Table, int], pa.Table],
     n_buckets: int = 64,
 ):
-    """Arrow-native variant of bucket_group_apply for inputs with nested
-    columns (list<struct>) that must not round-trip through pandas object
-    dtype. ``bucket_fn(bucket_table, bucket_id) -> pa.Table``."""
-    bucketed = ds.map_batches(
-        _add_bucket,
-        fn_kwargs={"key_cols": list(key_cols), "n_buckets": n_buckets},
-        batch_format="pyarrow",
-    )
-
-    def run(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            raise ValueError("empty group from map_groups")
-        bucket_id = int(group.column(BUCKET_COL)[0].as_py())
-        idx = group.schema.get_field_index(BUCKET_COL)
-        return bucket_fn(group.remove_column(idx), bucket_id)
-
-    return bucketed.groupby(BUCKET_COL).map_groups(run, batch_format="pyarrow")
+    """Apply ``bucket_fn(bucket, bucket_id) -> pa.Table`` to each hash
+    bucket of ``key_cols``; ``bucket`` is an Arrow table. All rows of any
+    single key land in exactly one bucket. ``bucket_fn`` must return an
+    Arrow table with a fixed schema."""
+    return _apply_buckets(_bucketed(ds, key_cols, n_buckets), bucket_fn)
 
 
 # combine buckets of every grouped aggregate (tests patch it)
@@ -185,12 +172,13 @@ def _one_chunk(t: pa.Table) -> pa.Table:
 
 def group_aggregate(ds, keys, aggs: dict):
     """Grouped SUM / COUNT / MIN / MAX: the engine's replacement for Ray's
-    ``groupby(keys).aggregate(...)``.
+    ``groupby(keys).aggregate(...)``; with ``aggs={}`` it is a DISTINCT
+    over ``keys``.
 
     ``aggs`` maps each output column to ``(op, column)``: op is "sum",
     "min", "max" or "count" (rows; column None). Every batch becomes one
     Arrow group-by partial (pandas blocks are converted once, by the
-    pyarrow batch format), and one ``bucket_group_apply_arrow`` shuffle
+    pyarrow batch format), and one ``bucket_group_apply`` shuffle
     over ``_AGG_BUCKETS`` buckets combines them per key in the same
     execution: sum of sums, sum of counts, min of mins, max of maxes.
     Output: the key columns, then ``aggs`` in order, one Arrow chunk per
@@ -207,7 +195,7 @@ def group_aggregate(ds, keys, aggs: dict):
     partials = ds.map_batches(
         _agg_partial, fn_kwargs={"keys": keys, "specs": specs}, batch_format="pyarrow")
     combine = functools.partial(_agg_combine, keys=keys, specs=specs)
-    out = bucket_group_apply_arrow(partials, keys, combine, _AGG_BUCKETS)
+    out = bucket_group_apply(partials, keys, combine, _AGG_BUCKETS)
     # map_groups concatenates a block's bucket outputs chunk by chunk;
     # one chunk keeps a written block at one parquet row group
     return out.map_batches(_one_chunk, batch_format="pyarrow", batch_size=None)
@@ -216,11 +204,10 @@ def group_aggregate(ds, keys, aggs: dict):
 def bucket_group_apply_partitioned(
     ds,
     key_cols: Sequence[str],
-    bucket_fn: Callable[[pd.DataFrame, int], pa.Table],
+    bucket_fn: Callable[[pa.Table, int], pa.Table],
     n_buckets: int,
     parts_dir: str,
     empty_schema: pa.Schema,
-    arrow_groups: bool = False,
 ):
     """``bucket_group_apply`` with PER-BUCKET resumable commits (the
     reference resumes mid-document at page granularity,
@@ -249,11 +236,7 @@ def bucket_group_apply_partitioned(
 
     missing = [b for b in range(n_buckets) if not os.path.exists(part_path(b))]
     if missing:
-        bucketed = ds.map_batches(
-            _add_bucket,
-            fn_kwargs={"key_cols": list(key_cols), "n_buckets": n_buckets},
-            batch_format="pyarrow",
-        )
+        bucketed = _bucketed(ds, key_cols, n_buckets)
         if len(missing) < n_buckets:
             mset = pa.array(missing, pa.int64())
 
@@ -262,7 +245,8 @@ def bucket_group_apply_partitioned(
 
             bucketed = bucketed.map_batches(keep_missing, batch_format="pyarrow")
 
-        def _commit(b: int, table: pa.Table) -> pa.Table:
+        def apply_and_commit(t: pa.Table, b: int) -> pa.Table:
+            table = bucket_fn(t, b)
             tmp = part_path(b) + f".tmp-{os.getpid()}"
             pq.write_table(table, tmp)
             os.replace(tmp, part_path(b))  # atomic per-bucket commit
@@ -271,27 +255,7 @@ def bucket_group_apply_partitioned(
                  "rows": pa.array([table.num_rows], pa.int64())}
             )
 
-        if arrow_groups:
-            # flat-column bucket fns take the group as an Arrow table —
-            # no pandas object-dtype round trip on the shuffled volume
-
-            def apply_and_commit_arrow(group: pa.Table) -> pa.Table:
-                b = int(group.column(BUCKET_COL)[0].as_py())
-                idx = group.schema.get_field_index(BUCKET_COL)
-                return _commit(b, bucket_fn(group.remove_column(idx), b))
-
-            runner, fmt = apply_and_commit_arrow, "pyarrow"
-        else:
-
-            def apply_and_commit(group: pd.DataFrame) -> pa.Table:
-                b = int(group[BUCKET_COL].iloc[0])
-                return _commit(b, bucket_fn(group.drop(columns=[BUCKET_COL]), b))
-
-            runner, fmt = apply_and_commit, "pandas"
-
-        bucketed.groupby(BUCKET_COL).map_groups(
-            runner, batch_format=fmt
-        ).materialize()
+        _apply_buckets(bucketed, apply_and_commit).materialize()
         # zero-row buckets never reach a group task; commit explicit empty
         # parts so they read as done, not missing
         for b in missing:
@@ -479,7 +443,7 @@ def bucket_hash_join(
         ]
         return pa.concat_tables(tables, promote_options="default") if tables else None
 
-    def join_bucket(group: pa.Table) -> pa.Table:
+    def join_bucket(group: pa.Table, bucket_id: int) -> pa.Table:
         rt = unpack(group, 1)
         rt = r_empty if rt is None else rt
         lt = unpack(group, 0)
@@ -545,7 +509,7 @@ def bucket_hash_join(
         }
         return pa.table(arrays, schema=pa.schema(out_fields))
 
-    return packed.groupby(BUCKET_COL).map_groups(join_bucket, batch_format="pyarrow")
+    return _apply_buckets(packed, join_bucket)
 
 
 # ------------------------------------------------------------ bloom pruning

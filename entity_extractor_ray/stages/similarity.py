@@ -309,7 +309,7 @@ def retrieve_section_context(chunks_ds, section_queries: dict, k: int = 5,
     import ray
 
     from .chunk import EMBED_DIM, HashingEmbedder
-    from .shuffle import bucket_group_apply_arrow
+    from .shuffle import bucket_group_apply
 
     names = sorted(section_queries)
     embedder = HashingEmbedder(dim=dim or EMBED_DIM, seed=seed)
@@ -377,7 +377,7 @@ def retrieve_section_context(chunks_ds, section_queries: dict, k: int = 5,
             schema=SECTION_CONTEXT_SCHEMA,
         )
 
-    return bucket_group_apply_arrow(partials, ["doc_id"], pick_global, n_buckets)
+    return bucket_group_apply(partials, ["doc_id"], pick_global, n_buckets)
 
 
 # ------------------------------------------------------------ product quantization
@@ -686,10 +686,17 @@ def knn_graph(embeddings_ds, k: int = 5,
     Ranking follows the knn_cosine convention: cosine ROUNDED to 6dp
     descending, ties by ascending dst vec_id (the corpus columns are
     pre-sorted by vec_id, so a STABLE argsort of -rounded realizes the
-    tie-break without a composite key)."""
+    tie-break without a composite key).
+
+    The input executes ONCE: its blocks are kept, the gate reads the row
+    count from their metadata, and the matrix collection and the scoring
+    map both read those blocks."""
     import ray
 
-    n_rows = embeddings_ds.count()
+    from .shuffle import materialize_blocks
+
+    blocks = materialize_blocks(embeddings_ds)
+    embeddings_ds, n_rows = blocks.dataset(), blocks.num_rows
     if n_rows > max_exact_rows:
         if not allow_approx:
             raise ValueError(
@@ -803,7 +810,8 @@ def knn_graph_lsh(embeddings_ds, k: int = 5, n_bands: int = 24,
         batch_format="pyarrow",
     )
 
-    def bucket_local_topk(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def bucket_local_topk(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         src_o, dst_o, sim_o = [], [], []
         n_truncated = 0
         for _, g in df.groupby(["band_id", "band_key"], sort=False):
@@ -875,9 +883,9 @@ def knn_graph_lsh(embeddings_ds, k: int = 5, n_bands: int = 24,
             "cos_sim": pa.array(sim[keep], pa.float64()),
         })
 
-    from .shuffle import bucket_group_apply_arrow
+    from .shuffle import bucket_group_apply
 
-    return bucket_group_apply_arrow(cands, ["src_id"], merge_per_src, n_buckets)
+    return bucket_group_apply(cands, ["src_id"], merge_per_src, n_buckets)
 
 
 # ------------------------------------------------- MMR diversified retrieval
@@ -976,7 +984,7 @@ def embedding_decontaminate(embeddings_ds, eval_mod: int = 20,
     contaminated)."""
     import ray
 
-    from .shuffle import bucket_group_apply_arrow
+    from .shuffle import bucket_group_apply
 
     mod_ = int(eval_mod)
 
@@ -1052,7 +1060,7 @@ def embedding_decontaminate(embeddings_ds, eval_mod: int = 20,
             "contaminated": pa.array(sim[first] >= thr, pa.bool_()),
         })
 
-    return bucket_group_apply_arrow(cands, ["eval_vec_id"], merge_best, 8)
+    return bucket_group_apply(cands, ["eval_vec_id"], merge_best, 8)
 
 
 def embedding_decontaminate_sql(eval_mod: int = 20,

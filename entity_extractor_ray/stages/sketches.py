@@ -77,7 +77,8 @@ def approx_distinct_by(
 
     pre = ds.map_batches(local_sketch, batch_format="pandas")
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         groups, counts, exacts = [], [], []
         merged = df.drop_duplicates([group_col, "__h"]).sort_values(
             [group_col, "__h"], kind="mergesort"
@@ -233,7 +234,8 @@ def approx_quantiles_by(
 
     pre = ds.map_batches(local_hist, batch_format="pandas")
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         out: dict = {group_col: [], "n": [], "exact": []}
         for c in q_cols:
             out[c] = []
@@ -526,7 +528,8 @@ def hll_distinct_by(
 
     pre = ds.map_batches(local_sketch, batch_format="pandas")
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         groups, ests = [], []
         for g, sub in df.groupby(group_col, sort=False):
             reg = np.zeros(1 << p, dtype=np.uint8)

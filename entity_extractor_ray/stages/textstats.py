@@ -140,7 +140,8 @@ def curate_by_quality(docs_ds, q: float = 0.2, n_buckets: int = 4):
             .reset_index(name="cnt")
         )
 
-    def thr_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def thr_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         langs, thrs = [], []
         merged = df.groupby(["lang", "quality_score"], sort=False)["cnt"].sum().reset_index()
         for lang, g in merged.groupby("lang", sort=False):
@@ -586,8 +587,8 @@ def pack_documents(docs_ds, budget: int = PACK_BUDGET):
 
     pre = docs_ds.map_batches(prep, batch_format="pandas")
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
-        df = df.sort_values("doc_id", kind="mergesort")
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas().sort_values("doc_id", kind="mergesort")
         parts = []
         for lang, g in df.groupby("lang", sort=False):
             nt = g["n_tokens"].to_numpy()
@@ -1052,7 +1053,8 @@ def zipf_slope_by_source(docs_ds):
         {"cnt": ("sum", "partial")},
     )
 
-    def slope_bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def slope_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         srcs: list = []
         sizes: list = []
         slopes: list = []

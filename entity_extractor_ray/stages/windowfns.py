@@ -10,7 +10,8 @@ directly, engine-shaped:
 
   * ONE all-to-all exchange on ``hash(partition_key) % n_buckets`` — the
     same ``bucket_group_apply`` shape every wide operator here uses; all
-    rows of a partition land in one bucket task.
+    rows of a partition land in one bucket task, as one Arrow table that
+    the kernel converts to pandas once.
   * Inside a bucket: a single stable lexsort over (partition, order)
     columns, then every window column is computed VECTORIZED — numpy
     boundary masks for row_number/rank/dense_rank, pandas grouped
@@ -122,7 +123,8 @@ def partitioned_window(
         if kind not in WINDOW_KINDS:
             raise ValueError(f"unknown window kind {kind!r}")
 
-    def bucket_fn(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
+        df = t.to_pandas()
         asc = [True] * len(by) + [not d for d in desc]
         df = df.sort_values(by + order_by, ascending=asc, kind="mergesort").reset_index(
             drop=True

@@ -95,13 +95,14 @@ def asof_join(left_ds, right_ds, by: str, on: str,
         src: pa.types.is_timestamp(r_field_types["__r_" + src]) for src in right_cols
     }
 
-    def bucket(df: pd.DataFrame, bucket_id: int) -> pa.Table:
+    def bucket(t: pa.Table, bucket_id: int) -> pa.Table:
         """Fully vectorized in-bucket match: ONE joint lexsort over
         (by-code, on, side) for all keys at once; each left row's match is
         'the last right row before me in that order within my group',
         computed with a cumulative right-count — no per-key loop, no
         per-row Python gather (the round-2 version looped users and emitted
         right values through a per-left-row generator)."""
+        df = t.to_pandas()
         lmask = (df["__side"] == "L").to_numpy()
         lg = df[lmask]
         if lg.empty:

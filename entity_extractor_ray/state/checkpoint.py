@@ -86,26 +86,30 @@ class CheckpointManager:
         except (json.JSONDecodeError, OSError):
             return None
 
-    def parts_dir(self, name: str) -> str:
+    def parts_dir(self, name: str, sources=()) -> str:
         """The directory a builder commits its own ``part-*`` files into
         (per-bucket or per-shard resume). Parts left by another fingerprint
-        (params or input changed; recorded in ``_FP``) are cleared, as is a
-        stale manifest; parts of this fingerprint survive, so a rerun only
-        writes the missing ones."""
+        (params, input or the committed ``sources`` files changed; recorded
+        in ``_FP``) are cleared, as is a stale manifest; parts of this
+        fingerprint survive, so a rerun only writes the missing ones.
+        ``sources`` are the files or stage directories the parts derive
+        from: a rebuilt upstream stage commits new files, so its old
+        derived parts never survive beside the new ones."""
         out = self.stage_dir(name)
         os.makedirs(out, exist_ok=True)
         if os.path.exists(os.path.join(out, MANIFEST)):
             os.remove(os.path.join(out, MANIFEST))
+        fp = self.fingerprint + (":" + input_fingerprint(list(sources)) if sources else "")
         fp_path = os.path.join(out, "_FP")
         if os.path.exists(fp_path):
             with open(fp_path) as fh:
-                if fh.read() == self.fingerprint:
+                if fh.read() == fp:
                     return out
         for f in os.listdir(out):
             if f.startswith("part-"):
                 os.remove(os.path.join(out, f))
         with open(fp_path, "w") as fh:
-            fh.write(self.fingerprint)
+            fh.write(fp)
         return out
 
     def run(self, name: str, build: Callable[[], "ray.data.Dataset"],  # noqa: F821
@@ -173,8 +177,12 @@ class CheckpointManager:
             "exchange_rows": ex["exchange_rows"] if ex else None,
             "exchange_tags": ex["tags"] if ex else None,
         }
-        with open(os.path.join(out, MANIFEST), "w") as fh:
+        # written aside and renamed into place: a kill mid-write never
+        # leaves a torn manifest
+        tmp = os.path.join(out, MANIFEST + ".tmp")
+        with open(tmp, "w") as fh:
             json.dump(manifest, fh)
+        os.replace(tmp, os.path.join(out, MANIFEST))
         return read_parquet_clean(out)
 
 

@@ -67,6 +67,25 @@ class TestCheckpointManager:
         (entry,) = status(str(tmp_path / "ck"))
         assert entry["committed"] is False and entry["rows"] is None
 
+    def test_manifest_write_is_atomic(self, tmp_path, monkeypatch):
+        """A kill inside the manifest write leaves no _SUCCESS: it is
+        written aside and renamed into place, never torn in place."""
+        import types
+
+        from entity_extractor_ray.state import checkpoint
+
+        def torn_dump(obj, fh):
+            fh.write('{"stage": "s1", "ro')
+            raise OSError("killed mid-write")
+
+        monkeypatch.setattr(checkpoint, "json", types.SimpleNamespace(
+            dump=torn_dump, load=json.load, JSONDecodeError=json.JSONDecodeError))
+        ck = self._mk(tmp_path)
+        with pytest.raises(OSError, match="killed mid-write"):
+            ck.run("s1", self._build)
+        assert not os.path.exists(os.path.join(ck.stage_dir("s1"), "_SUCCESS"))
+        assert not ck.is_done("s1")
+
     def test_manifest_rowcount_matches_files(self, tmp_path):
         ck = self._mk(tmp_path)
         ck.run("s1", self._build)

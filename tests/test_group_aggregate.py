@@ -101,6 +101,16 @@ def test_pandas_format_input_blocks(ray_session):
     _same(got, want, ["k"])
 
 
+def test_no_aggregate_is_a_distinct(ray_session):
+    t = _planted()
+    got = group_aggregate(rd.from_arrow(t).repartition(5), ["k", "s"], {}).to_pandas()
+    con = duckdb.connect()
+    con.register("t", t)
+    want = con.execute("SELECT DISTINCT k, s FROM t").df()
+    assert not got.duplicated().any()
+    _same(got, want, ["k", "s"])
+
+
 def test_empty_input_gives_an_empty_result(ray_session):
     """No batch reaches the partials, so the result is empty and, like
     Ray's own aggregate, carries no schema."""
@@ -165,3 +175,66 @@ def test_grouped_aggregate_scan_sees_a_planted_one():
            "b = (ds.map_batches(f)\n      .groupby(['k', 'j'])\n      .count())\n"
            "c = df.groupby('k', sort=False).sum()\n")
     assert list(_ray_grouped_aggregates(ast.parse(src))) == [2, 3]
+
+
+# ------------------------------------------------- one bucket apply guard
+
+_FLAVOUR_SWITCHES = {"arrow_groups", "arrow"}
+
+
+def _bucket_apply_findings(tree: ast.AST):
+    """(line, what) of every ``map_groups`` call, every use of the removed
+    ``bucket_group_apply_arrow`` and every bucket-apply call that passes an
+    Arrow/pandas switch."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name == "bucket_group_apply_arrow":
+                    yield node.lineno, alias.name
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        if name in ("map_groups", "bucket_group_apply_arrow"):
+            yield node.lineno, name
+        elif name in ("bucket_group_apply", "bucket_group_apply_partitioned", "buckets"):
+            for kw in node.keywords:
+                if kw.arg in _FLAVOUR_SWITCHES:
+                    yield node.lineno, kw.arg
+
+
+def test_one_map_groups_site_and_no_flavour_switch_in_the_engine():
+    paths = sorted((REPO / "entity_extractor_ray").rglob("*.py")) + [REPO / "__ray_entry__.py"]
+    found = [
+        (str(path.relative_to(REPO)), what)
+        for path in paths
+        for _, what in _bucket_apply_findings(ast.parse(path.read_text()))
+    ]
+    assert found == [("entity_extractor_ray/stages/shuffle.py", "map_groups")]
+
+
+def test_bucket_apply_scan_sees_planted_ones():
+    src = ("from x.shuffle import bucket_group_apply, bucket_group_apply_arrow\n"
+           "a = ds.groupby('k').map_groups(f, batch_format='pandas')\n"
+           "b = bucket_group_apply_arrow(ds, ['k'], f, 8)\n"
+           "c = shuffle.bucket_group_apply_partitioned(ds, ['k'], f, 8, d, s,\n"
+           "                                           arrow_groups=True)\n"
+           "d = r.buckets('edges', ds, ['k'], f, s, arrow=True)\n"
+           "e = bucket_group_apply(ds, ['k'], f, n_buckets=8)\n")
+    assert sorted(_bucket_apply_findings(ast.parse(src))) == [
+        (1, "bucket_group_apply_arrow"), (2, "map_groups"),
+        (3, "bucket_group_apply_arrow"), (4, "arrow_groups"), (6, "arrow")]
+
+
+def test_bucket_fn_gets_an_arrow_table_without_the_bucket_column(ray_session):
+    def fn(t, bucket_id):
+        assert isinstance(t, pa.Table)
+        return pa.table({"k": t.column("k"), "b": pa.array([bucket_id] * t.num_rows),
+                         "cols": pa.array([",".join(t.column_names)] * t.num_rows)})
+
+    ds = rd.from_pandas(pd.DataFrame({"k": list(range(40)), "v": [1.0] * 40}))
+    out = shuffle.bucket_group_apply(ds, ["k"], fn, n_buckets=4).to_pandas()
+    assert sorted(out["k"]) == list(range(40))
+    assert set(out["cols"]) == {"k,v"}
+    want = shuffle.stable_bucket_array(pa.table({"k": list(range(40))}), ["k"], 4)
+    assert out.sort_values("k")["b"].tolist() == want.tolist()

@@ -434,6 +434,31 @@ class TestResume:
         )
         assert triples1 == triples2
 
+    def test_rebuilt_upstream_clears_stale_shard_parts(self, ray_session, small_turns,
+                                                        tmp_path_factory):
+        """A rebuilt upstream stage commits new files, so a shard stage fed
+        by it must not keep its old parts beside the new ones: deleting
+        ``records/`` and the triples manifest, then resuming, gives the
+        clean build's triples, not each triple twice."""
+        import os
+        import shutil
+
+        out = str(tmp_path_factory.mktemp("kg_stale") / "out")
+        r1 = build_kg(small_turns, out_dir=out, n_buckets=8, num_join_partitions=4)
+        triples1 = sorted(
+            (r["conv_id"], r["subj"], r["pred"], r["obj"])
+            for r in r1.triples.take_all()
+        )
+        shutil.rmtree(os.path.join(out, "records"))
+        os.remove(os.path.join(out, "triples", "_SUCCESS"))
+
+        r2 = build_kg(small_turns, out_dir=out, n_buckets=8, num_join_partitions=4)
+        triples2 = sorted(
+            (r["conv_id"], r["subj"], r["pred"], r["obj"])
+            for r in r2.triples.take_all()
+        )
+        assert triples2 == triples1
+
     def test_edges_bucket_resume(self, ray_session, small_turns, tmp_path_factory):
         """The edges stage commits one part per (src, dst) hash bucket
         directly into its stage dir: deleting some parts plus the manifest

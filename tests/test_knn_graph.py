@@ -78,6 +78,24 @@ class TestKnnGraphExact:
         assert set(out.columns) == {"src_id", "nn_rank", "dst_id", "cos_sim"}
         assert len(out) > 0
 
+    def test_input_executes_once(self, tmp_path):
+        """The row-count gate, the matrix collection and the scoring map
+        read one execution of the input: its map runs once per block."""
+        from entity_extractor_ray.stages.similarity import knn_graph
+
+        log = tmp_path / "calls.txt"
+
+        def counted(t: pa.Table) -> pa.Table:
+            with open(str(log), "a") as fh:
+                fh.write("x\n")
+            return t
+
+        ds, ids, mat = _planted_ds()
+        got = _canon(knn_graph(ds.map_batches(counted, batch_format="pyarrow"),
+                               k=5).to_pandas())
+        pd.testing.assert_frame_equal(got, _canon(_serial_knn_graph(ids, mat, k=5)))
+        assert len(log.read_text().splitlines()) == 4  # one call per block
+
     def test_small_corpus_fewer_than_k(self):
         from entity_extractor_ray.stages.similarity import knn_graph
 

@@ -295,11 +295,11 @@ class TestResizeStage:
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_tagged_sum_reduce_equals_ray_groupby():
+def test_pair_count_reduce_equals_ray_groupby():
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from entity_extractor_ray.pipelines.mining import _tagged_sum_reduce
+    from entity_extractor_ray.stages.shuffle import group_aggregate
 
     # deterministic skewed relation: duplicate keys across many blocks,
     # negative sentinels, one hot key
@@ -315,7 +315,7 @@ def test_tagged_sum_reduce_equals_ray_groupby():
     )
     ds = rd.from_arrow(t).repartition(16)
     got = (
-        _tagged_sum_reduce(ds, n_buckets=8)
+        group_aggregate(ds, ["kind", "a", "b"], {"n": ("sum", "partial")})
         .to_pandas()
         .sort_values(["kind", "a", "b"])
         .reset_index(drop=True)
