@@ -19,6 +19,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.pairs import group_pairs
 from ..sources.cleanscan import read_parquet_clean as _rpc
 from ..stages.shuffle import group_aggregate
 
@@ -610,28 +611,12 @@ def customers_fuzzy_pairs(sf_dir: str, max_dist: int = 1):
                     for p in range(len(s)):
                         var_owner.append(i)
                         variants.append(s[:p] + s[p + 1:])
-                codes, _ = pd.factorize(np.asarray(variants, dtype=object))
                 owner = np.asarray(var_owner, dtype=np.int64)
-                bucket_order = np.lexsort((owner, codes))
-                oc, cc = owner[bucket_order], codes[bucket_order]
-                ii_list, jj_list = [], []
-                starts = np.flatnonzero(np.r_[True, cc[1:] != cc[:-1]])
-                ends = np.r_[starts[1:], len(cc)]
-                big = np.flatnonzero(ends - starts > 1)
-                for bi in big:
-                    members = np.unique(oc[starts[bi]:ends[bi]])
-                    if len(members) > 1:
-                        a, b = np.triu_indices(len(members), k=1)
-                        ii_list.append(members[a])
-                        jj_list.append(members[b])
-                if not ii_list:
+                ia, ib = group_pairs([np.asarray(variants, dtype=object)], owner,
+                                     None, "customers_fuzzy_pairs", bucket_id)
+                if not len(ia):
                     continue
-                cand = np.unique(
-                    np.stack(
-                        [np.concatenate(ii_list), np.concatenate(jj_list)], axis=1
-                    ),
-                    axis=0,
-                )
+                cand = np.unique(np.stack([owner[ia], owner[ib]], axis=1), axis=0)
                 ii, jj = cand[:, 0], cand[:, 1]
                 M, lens = _encode_codepoints(list(names))
                 d = _lev_le1(M[ii], M[jj], lens[ii], lens[jj])

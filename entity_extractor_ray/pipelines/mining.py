@@ -18,7 +18,7 @@ aggregate (~27x at sf0.1).
 - ``basket_pair_lift`` — market-basket co-occurrence mining: unordered
   part pairs co-purchased in the same order, with support counts and
   lift, via an order-bucketed shuffle (pairs generated inside the bucket
-  with the skipgram shift trick — no self-join of the fact table).
+  by the pair kernel, functions/pairs.py — no self-join of the fact table).
 - ``events_band_join`` — keyed interval/band join: for every purchase
   event, the count and cents-exact value sum of SAME-USER click events in
   the half-open window [ts-30min, ts). As-of (events_asof_click) returns
@@ -55,6 +55,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.arrowutil import rename_agg
+from ..functions.pairs import capped_members, group_pairs, group_starts
 from ..stages.shuffle import group_aggregate
 from .analytics import _cents, _read
 
@@ -143,51 +144,9 @@ FROM d
 """
 
 
-# --------------------------------------------- hot-posting-list truncation
+# --------------------------------------------------------- basket pair lift
 
 POSTING_CAP = 1000  # pairs per key bounded by C(cap, 2); far above TPC-H fanout
-
-
-def _cap_posting_lists(keys: np.ndarray, vals: np.ndarray, cap: int,
-                       op_name: str, bucket_id: int):
-    """Seeded-hash UNIFORM truncation of hot posting lists / baskets before
-    pair generation — the material_comentions hot-key policy
-    (graph.py:797-824) shared by both bipartite miners: without it, ONE hot
-    key (a part supplied by 10^5 suppliers, a degenerate mega-basket) makes
-    a single bucket emit ~C(fanout, 2) ≈ 10^10 rows (VERDICT r4 #1).
-
-    ``keys``/``vals`` must be sorted by (key, val) with distinct rows; any
-    key whose segment exceeds ``cap`` keeps the ``cap`` members with the
-    smallest process-stable hash (uniform, seed-free, deterministic), and
-    the drop is counted and LOGGED. Returns (keys, vals) with the sort
-    order preserved. Per-key supports/sizes stay EXACT (computed from the
-    full arrays by the callers); only pair generation is truncated."""
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    widths = np.diff(np.r_[starts, len(keys)])
-    if len(widths) == 0 or int(widths.max()) <= cap:
-        return keys, vals
-    import logging
-
-    import pandas as pd
-
-    h = pd.util.hash_pandas_object(pd.Series(vals), index=False).to_numpy()
-    seg_id = np.repeat(np.arange(len(widths), dtype=np.int64), widths)
-    order = np.lexsort((h, seg_id))
-    seg_starts = np.r_[0, np.cumsum(widths)[:-1]]
-    rank_in_seg = np.arange(len(vals), dtype=np.int64) - np.repeat(seg_starts, widths)
-    keep = np.zeros(len(vals), dtype=bool)
-    keep[order[rank_in_seg < cap]] = True
-    n_truncated = int((widths > cap).sum())
-    n_dropped = int((widths - cap)[widths > cap].sum())
-    logging.getLogger("entity_extractor_ray.mining").warning(
-        "%s bucket %d: truncated %d hot posting lists (cap=%d), dropped %d "
-        "members from pair generation", op_name, bucket_id, n_truncated, cap,
-        n_dropped,
-    )
-    return keys[keep], vals[keep]
-
-
-# --------------------------------------------------------- basket pair lift
 
 
 def basket_pair_lift(sf_dir: str, min_pairs: int = 3,
@@ -198,13 +157,12 @@ def basket_pair_lift(sf_dir: str, min_pairs: int = 3,
 
     Scale shape: ONE order-bucketed shuffle of the 2-column (orderkey,
     partkey) projection co-locates each basket; inside the bucket the
-    (order, part) set is deduped by sort + adjacent-compare and pairs come
-    from the skipgram shift trick (d = 1..max basket width — TPC-H baskets
-    are ≤7 items, so this is a handful of array ops, never a self-join of
-    the fact table). A degenerate mega-basket wider than ``basket_cap`` is
-    uniformly truncated (seeded-hash, drop counted + logged —
-    _cap_posting_lists) before pair generation, so one hot order can never
-    go quadratic; per-part and per-order supports stay exact. Pair counts, per-part order counts and the distinct
+    distinct (order, part) set and the within-basket pairs both come from
+    the pair kernel (``functions/pairs.py``: vectorized, never a self-join
+    of the fact table). A degenerate mega-basket wider than ``basket_cap``
+    is uniformly truncated by the kernel (hash order, drop counted +
+    logged) before pair generation, so one hot order can never go
+    quadratic; per-part and per-order supports stay exact. Pair counts, per-part order counts and the distinct
     order count ride ONE tagged (kind, a, b) ``group_aggregate`` sum
     — the exchange carries pre-reduced partials only. Item supports broadcast back onto
     the pair relation via lookup_join (part-dimension-sized). All counts
@@ -224,29 +182,15 @@ def basket_pair_lift(sf_dir: str, min_pairs: int = 3,
     def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
         ok = t.column("l_orderkey").to_numpy(zero_copy_only=False)
         pk = t.column("l_partkey").to_numpy(zero_copy_only=False)
-        order = np.lexsort((pk, ok))
-        ok, pk = ok[order], pk[order]
-        # dedupe (order, part): an order can hold the same part on several
+        # distinct (order, part): an order can hold the same part on several
         # lines; distinct-set semantics for support counts
-        keep = np.ones(len(ok), dtype=bool)
-        keep[1:] = (ok[1:] != ok[:-1]) | (pk[1:] != pk[:-1])
+        keep = capped_members([ok], pk, None, "basket_pair_lift", bucket_id)
         ok, pk = ok[keep], pk[keep]
         if len(ok) == 0:
             return EMPTY.empty_table()
-        starts = np.flatnonzero(np.r_[True, ok[1:] != ok[:-1]])
-        # mega-baskets: uniform truncation to basket_cap members before pair
-        # generation (support counts below stay exact from the FULL arrays)
-        ok_c, pk_c = _cap_posting_lists(
-            ok, pk, basket_cap, "basket_pair_lift", bucket_id
-        )
-        # basket widths bound the shift distance
-        starts_c = np.flatnonzero(np.r_[True, ok_c[1:] != ok_c[:-1]])
-        widths_c = np.diff(np.r_[starts_c, len(ok_c)])
-        p1_parts, p2_parts = [], []
-        for d in range(1, int(widths_c.max())):
-            same = ok_c[:-d] == ok_c[d:]
-            p1_parts.append(pk_c[:-d][same])
-            p2_parts.append(pk_c[d:][same])
+        # mega-baskets: the kernel caps them to basket_cap members before
+        # pair generation (support counts below stay exact from the FULL arrays)
+        ia, ib = group_pairs([ok], pk, basket_cap, "basket_pair_lift", bucket_id)
         rows = [
             # kind=2: distinct orders seen by this bucket (orders never
             # straddle buckets — the shuffle key IS the order key)
@@ -255,7 +199,7 @@ def basket_pair_lift(sf_dir: str, min_pairs: int = 3,
                     "kind": pa.array([2], pa.int64()),
                     "a": pa.array([-1], pa.int64()),
                     "b": pa.array([-1], pa.int64()),
-                    "partial": pa.array([len(starts)], pa.int64()),
+                    "partial": pa.array([len(group_starts([ok]))], pa.int64()),
                 }
             )
         ]
@@ -273,11 +217,11 @@ def basket_pair_lift(sf_dir: str, min_pairs: int = 3,
                 }
             )
         )
-        if p1_parts:
+        if len(ia):
             raw = pa.table(
                 {
-                    "a": pa.array(np.concatenate(p1_parts), pa.int64()),
-                    "b": pa.array(np.concatenate(p2_parts), pa.int64()),
+                    "a": pa.array(pk[ia], pa.int64()),
+                    "b": pa.array(pk[ib], pa.int64()),
                 }
             )
             pair = pa.TableGroupBy(raw, ["a", "b"]).aggregate([([], "count_all")])
@@ -682,11 +626,12 @@ def supplier_jaccard(sf_dir: str, min_common: int = 2,
 
     Scale shape: the inverted-index pair generation — ONE part-bucketed
     shuffle of the deduped (part, supplier) projection; pairs (s1 < s2)
-    are generated per part posting list with the shift trick, so the
-    candidate count is Σ C(min(fanout, posting_cap), 2): posting lists
-    wider than ``posting_cap`` are uniformly truncated (seeded-hash, drop
-    counted + logged — _cap_posting_lists) before pair generation, never a
-    supplier self-join and never quadratic in one hot part's fanout.
+    are generated per part posting list by the pair kernel
+    (``functions/pairs.py``), so the candidate count is
+    Σ C(min(fanout, posting_cap), 2): posting lists wider than
+    ``posting_cap`` are uniformly truncated (hash order, drop counted +
+    logged) before pair generation, never a supplier self-join and never
+    quadratic in one hot part's fanout.
     Set sizes stay exact; intersections touching a truncated list
     undercount (the bounded-candidate policy).
     Intersection counts and per-supplier set sizes ride one tagged
@@ -705,27 +650,15 @@ def supplier_jaccard(sf_dir: str, min_common: int = 2,
     def bucket_fn(t: pa.Table, bucket_id: int) -> pa.Table:
         pk = t.column("l_partkey").to_numpy(zero_copy_only=False)
         sk = t.column("l_suppkey").to_numpy(zero_copy_only=False)
-        order = np.lexsort((sk, pk))
-        pk, sk = pk[order], sk[order]
-        keep = np.ones(len(pk), dtype=bool)
-        keep[1:] = (pk[1:] != pk[:-1]) | (sk[1:] != sk[:-1])
+        keep = capped_members([pk], sk, None, "supplier_jaccard", bucket_id)
         pk, sk = pk[keep], sk[keep]
         if len(pk) == 0:
             return EMPTY.empty_table()
-        # hot posting lists: uniform truncation to posting_cap suppliers
+        # hot posting lists: the kernel caps them to posting_cap suppliers
         # before pair generation (set sizes below stay exact from the FULL
         # arrays; intersection counts for truncated parts undercount — the
         # bounded-candidate policy, identical to material_comentions)
-        pk_c, sk_c = _cap_posting_lists(
-            pk, sk, posting_cap, "supplier_jaccard", bucket_id
-        )
-        starts_c = np.flatnonzero(np.r_[True, pk_c[1:] != pk_c[:-1]])
-        widths_c = np.diff(np.r_[starts_c, len(pk_c)])
-        s1_parts, s2_parts = [], []
-        for d in range(1, int(widths_c.max())):
-            same = pk_c[:-d] == pk_c[d:]
-            s1_parts.append(sk_c[:-d][same])
-            s2_parts.append(sk_c[d:][same])
+        ia, ib = group_pairs([pk], sk, posting_cap, "supplier_jaccard", bucket_id)
         rows = []
         sizes = pa.TableGroupBy(pa.table({"a": pa.array(sk, pa.int64())}), "a").aggregate(
             [([], "count_all")]
@@ -740,11 +673,11 @@ def supplier_jaccard(sf_dir: str, min_common: int = 2,
                 }
             )
         )
-        if s1_parts:
+        if len(ia):
             raw = pa.table(
                 {
-                    "a": pa.array(np.concatenate(s1_parts), pa.int64()),
-                    "b": pa.array(np.concatenate(s2_parts), pa.int64()),
+                    "a": pa.array(sk[ia], pa.int64()),
+                    "b": pa.array(sk[ib], pa.int64()),
                 }
             )
             inter = pa.TableGroupBy(raw, ["a", "b"]).aggregate([([], "count_all")])

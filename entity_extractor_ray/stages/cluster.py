@@ -20,8 +20,9 @@ Scale shape:
     the broadcast centroid matrix).
   * SEMANTIC DEDUP shuffles each row once, keyed by cluster id; the
     within-cluster pairwise cosine is blocked in row-chunks so peak memory
-    is chunk x cluster, and oversized clusters are truncated in seeded-hash
-    order with a LOGGED drop count (same policy as dedup.BUCKET_PAIR_CAP).
+    is chunk x cluster, and oversized clusters are truncated by the pair
+    kernel's hot-group cap (functions/pairs.py: hash order, LOGGED drop
+    count — the policy every blocking stage uses).
 
 Spherical k-means (cosine assignment, renormalized centroids) because the
 embedding operators in this engine (similarity.py, dedup.py) are all
@@ -42,13 +43,14 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.pairs import capped_members, group_starts
 from .similarity import list_column_to_matrix
 
 logger = logging.getLogger(__name__)
 
 # per-cluster row cap for the within-cluster pairwise stage; beyond it the
-# cluster is truncated (seeded-hash order, logged) — a cluster this large
-# means k was chosen far too small for the corpus
+# cluster is truncated (functions/pairs.py: hash order, logged) — a cluster
+# this large means k was chosen far too small for the corpus
 CLUSTER_PAIR_CAP = 50_000
 
 
@@ -275,7 +277,6 @@ def semantic_dedup(embeddings_ds, threshold: float = 0.95, k: int = 10,
     ``keep`` is the dedup survivor flag, ``dup_of`` the id of the earliest
     near-duplicate (or -1), ``max_cos`` the similarity to the closest
     earlier same-cluster row (-1.0 when the row is its cluster's first)."""
-    from .dedup import _cap_ids_unbiased
     from .shuffle import bucket_group_apply
 
     if centroids is None:
@@ -286,23 +287,12 @@ def semantic_dedup(embeddings_ds, threshold: float = 0.95, k: int = 10,
         clusters = t.column("cluster").to_numpy(zero_copy_only=False)
         all_ids = t.column("vec_id").to_numpy(zero_copy_only=False)
         mat = list_column_to_matrix(t.column("embedding"))
+        rows = capped_members([clusters], all_ids, cluster_cap, "semantic_dedup", bucket_id)
         out = []
-        for c in np.unique(clusters):
-            mask = np.flatnonzero(clusters == c)
-            ids = all_ids[mask]
-            if ids.size > cluster_cap:
-                dropped = int(ids.size - cluster_cap)
-                kept_ids = np.sort(_cap_ids_unbiased(np.sort(ids), cluster_cap))
-                logger.warning(
-                    "semantic_dedup: cluster %d truncated to %d rows "
-                    "(%d dropped, seeded-hash order) — raise k",
-                    int(c), cluster_cap, dropped,
-                )
-                sel = mask[np.isin(ids, kept_ids)]
-            else:
-                sel = mask
-            order = np.argsort(all_ids[sel], kind="stable")
-            sel = sel[order]
+        for sel in np.split(rows, group_starts([clusters[rows]])[1:]):
+            if not len(sel):
+                continue
+            c = clusters[sel[0]]
             keep, dup_of, max_cos = _semdedup_cluster(
                 all_ids[sel], mat[sel], threshold
             )

@@ -26,6 +26,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions import textnorm
+from ..functions.pairs import capped_members, group_pairs, group_starts
 from .shuffle import group_aggregate
 from .similarity import list_column_to_matrix as _list_matrix
 
@@ -89,48 +90,16 @@ class MinHashSignatures:
 BUCKET_PAIR_CAP = 1000
 
 
-def _cap_ids_unbiased(ids: np.ndarray, cap: int) -> np.ndarray:
-    """Deterministic, id-UNIFORM truncation for oversized LSH buckets: slice
-    in seeded-hash order instead of ascending id order (``ids[:cap]`` would
-    systematically favor early documents — every truncated bucket dropping
-    the same late-id population is a biased sample of the boilerplate
-    cluster). Fibonacci-mix hash, stable across processes."""
-    mix = ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    mix ^= mix >> np.uint64(29)
-    return ids[np.argsort(mix, kind="stable")[:cap]]
-
-
 def _pairs_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
     """One hash bucket of (band_id, band_hash) groups -> candidate pairs
-    (id_a < id_b), vectorized triu per group. Pathological buckets (a band
-    value shared by >BUCKET_PAIR_CAP docs — i.e. boilerplate) are truncated
-    to the cap and the truncation is COUNTED and logged, never silent."""
-    df = t.to_pandas()
-    a_parts: List[np.ndarray] = []
-    b_parts: List[np.ndarray] = []
-    n_truncated_buckets = 0
-    n_dropped_ids = 0
-    for _, g in df.groupby(["band_id", "band_hash"], sort=False):
-        if len(g) < 2:
-            continue
-        ids = np.unique(g["doc_id"].to_numpy())
-        if ids.size > BUCKET_PAIR_CAP:
-            n_truncated_buckets += 1
-            n_dropped_ids += int(ids.size - BUCKET_PAIR_CAP)
-            ids = _cap_ids_unbiased(ids, BUCKET_PAIR_CAP)
-        iu, ju = np.triu_indices(ids.size, k=1)
-        a_parts.append(ids[iu])
-        b_parts.append(ids[ju])
-    if n_truncated_buckets:
-        logger.warning(
-            "minhash LSH bucket %d: truncated %d oversized band groups "
-            "(cap=%d), dropped %d doc ids from candidate generation",
-            bucket_id, n_truncated_buckets, BUCKET_PAIR_CAP, n_dropped_ids,
-        )
-    a_out = np.concatenate(a_parts) if a_parts else np.zeros(0, np.int64)
-    b_out = np.concatenate(b_parts) if b_parts else np.zeros(0, np.int64)
+    (id_a < id_b). Pathological groups (a band value shared by
+    >BUCKET_PAIR_CAP docs — i.e. boilerplate) are capped by the pair
+    kernel, and the drop is counted and logged, never silent."""
+    keys = [t.column(c).to_numpy() for c in ("band_id", "band_hash")]
+    ids = t.column("doc_id").to_numpy()
+    ia, ib = group_pairs(keys, ids, BUCKET_PAIR_CAP, "minhash LSH", bucket_id)
     return pa.table(
-        {"id_a": pa.array(a_out, pa.int64()), "id_b": pa.array(b_out, pa.int64())}
+        {"id_a": pa.array(ids[ia], pa.int64()), "id_b": pa.array(ids[ib], pa.int64())}
     )
 
 
@@ -424,25 +393,17 @@ def _posting_pairs(t: pa.Table, bucket_id: int, key: str, size: str,
                    weight: str = None) -> pa.Table:
     """One bucket of posting rows (key, doc_id, size[, weight]) -> one row
     per doc pair sharing a key: id_a < id_b and both docs' sizes, plus with
-    ``weight`` the pair's weight product ``dot``. Callers count or sum the
-    rows per pair with ``group_aggregate``."""
-    df = t.to_pandas()
-    cols: Dict[str, List[np.ndarray]] = {c: [] for c in ("id_a", "id_b", "n_a", "n_b")}
+    ``weight`` the pair's weight product ``dot``. Uncapped: the queries that
+    use it are exact. Callers count or sum the rows per pair with
+    ``group_aggregate``."""
+    ids = t.column("doc_id").to_numpy()
+    ia, ib = group_pairs([t.column(key).to_numpy()], ids, None, key, bucket_id)
+    ns = t.column(size).to_numpy()
+    cols = {"id_a": ids[ia], "id_b": ids[ib], "n_a": ns[ia], "n_b": ns[ib]}
     if weight:
-        cols["dot"] = []
-    for _, g in df.groupby(key, sort=False):
-        if len(g) < 2:
-            continue
-        g = g.iloc[np.argsort(g["doc_id"].to_numpy())]
-        iu, ju = np.triu_indices(len(g), k=1)
-        ids, ns = g["doc_id"].to_numpy(), g[size].to_numpy()
-        for c, v in (("id_a", ids[iu]), ("id_b", ids[ju]), ("n_a", ns[iu]), ("n_b", ns[ju])):
-            cols[c].append(v)
-        if weight:
-            w = g[weight].to_numpy()
-            cols["dot"].append(w[iu] * w[ju])
-    return pa.table({c: pa.array(np.concatenate(v) if v else np.zeros(0, np.int64), pa.int64())
-                     for c, v in cols.items()})
+        w = t.column(weight).to_numpy()
+        cols["dot"] = w[ia] * w[ib]
+    return pa.table({c: pa.array(v, pa.int64()) for c, v in cols.items()})
 
 
 def _pair_counts(docs_ds, n: int, n_buckets: int):
@@ -1022,26 +983,6 @@ def make_hyperplane_bucketizer(planes_ref, n_bands: int, weights,
     return bucketize
 
 
-def cap_bucket_members(g: pd.DataFrame, bucket_cap: int):
-    """Shared hot-bucket policy (the comentions rule): dedup vec_ids, sort
-    ascending, and truncate buckets wider than ``bucket_cap`` by
-    seeded-hash UNIFORM sampling; returns (kept, n_dropped) so the caller
-    can LOG the drop."""
-    g = g.drop_duplicates("vec_id").sort_values("vec_id")
-    dropped = 0
-    if len(g) > bucket_cap:
-        dropped = len(g) - bucket_cap
-        keep = np.sort(
-            np.argsort(
-                (g["vec_id"].to_numpy().astype(np.uint64)
-                 * np.uint64(0x9E3779B97F4A7C15)),
-                kind="stable",
-            )[:bucket_cap]
-        )
-        g = g.iloc[keep]
-    return g, dropped
-
-
 def embedding_lsh_pairs(embeddings_ds, threshold: float = 0.9, seed: int = 11,
                         concurrency: int = None, n_bands: int = None,
                         bits_per_band: int = None,
@@ -1080,18 +1021,17 @@ def embedding_lsh_pairs(embeddings_ds, threshold: float = 0.9, seed: int = 11,
     )
 
     def band_bucket_pairs(t: pa.Table, bucket_id: int) -> pa.Table:
-        df = t.to_pandas()
+        keys = [t.column(c).to_numpy() for c in ("band_id", "band_key")]
+        vec_ids = t.column("vec_id").to_numpy()
+        rows = capped_members(keys, vec_ids, bucket_cap, "embedding LSH", bucket_id)
+        mat_all = _list_matrix(t.column("embedding"))
         a_out: List[int] = []
         b_out: List[int] = []
         s_out: List[float] = []
-        n_truncated = 0
-        for _, g in df.groupby(["band_id", "band_key"], sort=False):
+        for g in np.split(rows, group_starts([k[rows] for k in keys])[1:]):
             if len(g) < 2:
                 continue
-            g, dropped = cap_bucket_members(g, bucket_cap)
-            n_truncated += dropped
-            ids = g["vec_id"].to_numpy()
-            mat = np.asarray(g["embedding"].tolist(), dtype=np.float64)
+            ids, mat = vec_ids[g], mat_all[g]
             norms = np.linalg.norm(mat, axis=1, keepdims=True)
             norms[norms == 0] = 1.0
             sims = (mat / norms) @ (mat / norms).T
@@ -1100,11 +1040,6 @@ def embedding_lsh_pairs(embeddings_ds, threshold: float = 0.9, seed: int = 11,
             a_out.extend(ids[iu[hit]].tolist())
             b_out.extend(ids[ju[hit]].tolist())
             s_out.extend(np.round(sims[iu[hit], ju[hit]], 6).tolist())
-        if n_truncated:
-            logger.warning(
-                "embedding LSH bucket %d: %d vectors dropped by bucket_cap=%d",
-                bucket_id, n_truncated, bucket_cap,
-            )
         return pa.table(
             {
                 "id_a": pa.array(a_out, pa.int64()),
@@ -1448,6 +1383,35 @@ def minhash_index_rows(docs_ds):
     return docs_ds.map_batches(_minhash_rows, batch_format="pandas")
 
 
+def _delta_pairs_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
+    """One hash bucket of tagged band rows (band_id, band_hash, doc_id,
+    is_new) -> the candidate pairs touching a new doc (id_a < id_b):
+    new-new pairs from the pair kernel and the new-old cross product, each
+    side capped at BUCKET_PAIR_CAP by the kernel. Almost every band group
+    is old-only (that is the whole point of the delta pass), so one
+    transform drops them before any pairing."""
+    df = t.to_pandas()
+    band = ["band_id", "band_hash"]
+    df = df[df.groupby(band, sort=False)["is_new"].transform("max") == 1]
+    new, old = (
+        side.iloc[capped_members([side[c].to_numpy() for c in band],
+                                 side["doc_id"].to_numpy(), BUCKET_PAIR_CAP,
+                                 "minhash delta", bucket_id)]
+        for side in (df[df["is_new"] == 1], df[df["is_new"] == 0])
+    )
+    new_ids = new["doc_id"].to_numpy()
+    ia, ib = group_pairs([new[c].to_numpy() for c in band], new_ids, None,
+                         "minhash delta", bucket_id)
+    # new-old pairs: the per-group cross product, normalized id_a < id_b
+    cross = new[band + ["doc_id"]].merge(old[band + ["doc_id"]], on=band)
+    gn, go = cross["doc_id_x"].to_numpy(), cross["doc_id_y"].to_numpy()
+    a = np.concatenate([new_ids[ia], np.minimum(gn, go)])
+    b = np.concatenate([new_ids[ib], np.maximum(gn, go)])
+    return pa.table(
+        {"id_a": pa.array(a, pa.int64()), "id_b": pa.array(b, pa.int64())}
+    )
+
+
 def minhash_dedup_delta(old_bands, new_docs_ds, union_docs_ds,
                         threshold: float = JACCARD_THRESHOLD,
                         n_buckets: int = 32):
@@ -1481,55 +1445,7 @@ def minhash_dedup_delta(old_bands, new_docs_ds, union_docs_ds,
     old_tagged = old_bands.map_batches(tag(0), batch_format="pandas")
     bands = old_tagged.union(new_bands)
 
-    def pairs_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
-        a_parts: List[np.ndarray] = []
-        b_parts: List[np.ndarray] = []
-        n_truncated, n_dropped = 0, 0
-        # vectorized pre-filter BEFORE the per-group loop: almost every band
-        # group is old-only (that is the whole point of the delta pass), so
-        # drop them in one transform instead of visiting ~|bands| singleton
-        # groups in Python — measured 15x on a 30k-doc boilerplate corpus
-        df = t.to_pandas().drop_duplicates(["band_id", "band_hash", "doc_id"])
-        has_new = df.groupby(["band_id", "band_hash"], sort=False)[
-            "is_new"].transform("max")
-        df = df[has_new == 1]
-        for _, g in df.groupby(["band_id", "band_hash"], sort=False):
-            new_ids = np.unique(g.loc[g["is_new"] == 1, "doc_id"].to_numpy())
-            if new_ids.size == 0:
-                continue  # unreachable after the pre-filter; kept as a guard
-            old_ids = np.unique(g.loc[g["is_new"] == 0, "doc_id"].to_numpy())
-            if old_ids.size > BUCKET_PAIR_CAP:
-                n_truncated += 1
-                n_dropped += int(old_ids.size - BUCKET_PAIR_CAP)
-                old_ids = _cap_ids_unbiased(old_ids, BUCKET_PAIR_CAP)
-            if new_ids.size > BUCKET_PAIR_CAP:
-                n_truncated += 1
-                n_dropped += int(new_ids.size - BUCKET_PAIR_CAP)
-                new_ids = _cap_ids_unbiased(new_ids, BUCKET_PAIR_CAP)
-            # new-new pairs
-            if new_ids.size > 1:
-                iu, ju = np.triu_indices(new_ids.size, k=1)
-                a_parts.append(new_ids[iu])
-                b_parts.append(new_ids[ju])
-            # new-old pairs (normalized id_a < id_b)
-            if old_ids.size:
-                gn = np.repeat(new_ids, old_ids.size)
-                go = np.tile(old_ids, new_ids.size)
-                a_parts.append(np.minimum(gn, go))
-                b_parts.append(np.maximum(gn, go))
-        if n_truncated:
-            logger.warning(
-                "minhash delta bucket %d: truncated %d oversized band groups "
-                "(cap=%d), dropped %d ids", bucket_id, n_truncated,
-                BUCKET_PAIR_CAP, n_dropped,
-            )
-        a = np.concatenate(a_parts) if a_parts else np.zeros(0, np.int64)
-        b = np.concatenate(b_parts) if b_parts else np.zeros(0, np.int64)
-        return pa.table(
-            {"id_a": pa.array(a, pa.int64()), "id_b": pa.array(b, pa.int64())}
-        )
-
-    pairs = bucket_group_apply(bands, ["band_id", "band_hash"], pairs_bucket,
+    pairs = bucket_group_apply(bands, ["band_id", "band_hash"], _delta_pairs_bucket,
                                n_buckets)
     cands = compact_blocks(group_aggregate(pairs, ["id_a", "id_b"], {}))
     return verify_jaccard_pairs(cands, union_docs_ds, threshold=threshold,

@@ -22,8 +22,6 @@ exposes the single pass and callers may iterate for deeper graphs.
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -37,6 +35,7 @@ from ..functions.decision_tables import (
     parent_pfas_resolution,
 )
 from ..functions.arrowutil import bin_to_hex, hex_to_bin, rename_agg, try_hex_to_bin
+from ..functions.pairs import group_pairs
 from ..functions.textnorm import stable_id
 from .linking import order_key_array
 from .shuffle import bucket_group_apply, group_aggregate, stable_bucket_array
@@ -725,16 +724,12 @@ def material_comentions(edges_ds, n_buckets: int = 32,
     the reference graph (one hop past global_node_repository.py:197-219's
     chemicals-of-material traversal).
 
-    Shape: ONE chemical-keyed bucket shuffle generates per-chemical
-    material pairs triu-vectorized; a chemical contained by more than
-    ``pair_cap`` materials is truncated to a seeded-hash-UNIFORM sample of
-    the cap with the drop COUNTED and LOGGED (the dedup LSH buckets'
-    policy — hot keys would otherwise go quadratic), then one pair-keyed
-    aggregate sums n_shared. Output: (mat_a, mat_b, n_shared), mat_a <
-    mat_b."""
-    import logging
-
-    logger = logging.getLogger("entity_extractor_ray.graph")
+    Shape: ONE chemical-keyed bucket shuffle; per chemical, the material
+    pairs come from the pair kernel (``functions/pairs.py``), which caps a
+    chemical contained by more than ``pair_cap`` materials to a
+    hash-UNIFORM sample of the cap with the drop COUNTED and LOGGED (hot
+    keys would otherwise go quadratic); then one pair-keyed aggregate sums
+    n_shared. Output: (mat_a, mat_b, n_shared), mat_a < mat_b."""
 
     def contains_only(t: pa.Table) -> pa.Table:
         kept = t.filter(pc.equal(t.column("pred"), "CONTAINS"))
@@ -743,35 +738,11 @@ def material_comentions(edges_ds, n_buckets: int = 32,
     slim = edges_ds.map_batches(contains_only, batch_format="pyarrow")
 
     def pairs_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
-        df = t.to_pandas()
-        a_parts: List[np.ndarray] = []
-        b_parts: List[np.ndarray] = []
-        n_truncated = 0
-        n_dropped = 0
-        for _, g in df.groupby("dst", sort=False):
-            ids = np.unique(g["src"].to_numpy())
-            if ids.size < 2:
-                continue
-            if ids.size > pair_cap:
-                n_truncated += 1
-                n_dropped += int(ids.size - pair_cap)
-                h = pd.util.hash_pandas_object(
-                    pd.Series(ids), index=False
-                ).to_numpy()
-                ids = np.sort(ids[np.argsort(h, kind="stable")[:pair_cap]])
-            iu, ju = np.triu_indices(ids.size, k=1)
-            a_parts.append(ids[iu])
-            b_parts.append(ids[ju])
-        if n_truncated:
-            logger.warning(
-                "material_comentions bucket %d: truncated %d hot chemicals "
-                "(cap=%d), dropped %d material ids from pair generation",
-                bucket_id, n_truncated, pair_cap, n_dropped,
-            )
-        a = np.concatenate(a_parts) if a_parts else np.zeros(0, dtype=object)
-        b = np.concatenate(b_parts) if b_parts else np.zeros(0, dtype=object)
+        ids = t.column("src").to_numpy(zero_copy_only=False)
+        ia, ib = group_pairs([t.column("dst").to_numpy(zero_copy_only=False)], ids,
+                             pair_cap, "material_comentions", bucket_id)
         return pa.table(
-            {"mat_a": pa.array(a, pa.string()), "mat_b": pa.array(b, pa.string())}
+            {"mat_a": pa.array(ids[ia], pa.string()), "mat_b": pa.array(ids[ib], pa.string())}
         )
 
     pairs = bucket_group_apply(slim, ["dst"], pairs_bucket, n_buckets)
@@ -987,21 +958,14 @@ def triangle_count(pairs_ds, a_col: str = "mat_a", b_col: str = "mat_b",
     oriented = e2.map_batches(orient, batch_format="pyarrow")
 
     def wedge_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
-        out = []
-        df = t.to_pandas().sort_values(["src", "deg_dst", "dst"], kind="mergesort")
-        for _, g in df.groupby("src", sort=False):
-            k = len(g)
-            if k < 2:
-                continue
-            nbrs = g["dst"].to_numpy()
-            iu, ju = np.triu_indices(k, k=1)
-            # wedge pairs ordered by (deg, id) — matching edge orientation
-            out.append(
-                np.char.add(np.char.add(nbrs[iu].astype(str), "\x1f"),
-                            nbrs[ju].astype(str))
-            )
-        keys = np.concatenate(out) if out else np.array([], dtype=object)
-        return pa.table({"wk": pa.array(keys.astype(object), pa.string())})
+        dst = t.column("dst").to_numpy(zero_copy_only=False)
+        # wedge pairs ordered by the (deg, id) rank — matching edge orientation
+        rank = np.empty(len(dst), np.int64)
+        rank[np.lexsort((dst, t.column("deg_dst").to_numpy()))] = np.arange(len(dst))
+        ia, ib = group_pairs([t.column("src").to_numpy(zero_copy_only=False)], rank,
+                             None, "triangle_count", bucket_id)
+        return pa.table({"wk": pc.binary_join_element_wise(
+            pa.array(dst[ia], pa.string()), pa.array(dst[ib], pa.string()), "\x1f")})
 
     wedges = bucket_group_apply(oriented, ["src"], wedge_bucket, n_buckets)
 

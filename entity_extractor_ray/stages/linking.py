@@ -61,6 +61,7 @@ from ..functions.decision_tables import (
     normalize_name_key,
 )
 from ..functions.arrowutil import bin_to_hex, try_hex_to_bin
+from ..functions.pairs import group_pairs
 from ..functions.textnorm import stable_id
 from .shuffle import bucket_group_apply, group_aggregate, stable_bucket_array
 
@@ -152,23 +153,48 @@ def _name_candidate_pairs(
     a, b = textnorm.make_minhash_params(num_perm)
     sigs = textnorm.minhash_signatures_batch(norm, a, b, shingle_k)
     bands = textnorm.minhash_band_hashes_batch(sigs, num_bands)
-    cand = set()
-    for bi in range(bands.shape[1]):
-        buckets: Dict[int, List[int]] = {}
-        for i in range(n):
-            buckets.setdefault(int(bands[i, bi]), []).append(i)
-        for members in buckets.values():
-            if len(members) < 2:
-                continue
-            for x in range(1, len(members)):
-                for y in range(x):
-                    cand.add((members[y], members[x]))
+    # every (band, band hash) bucket's member pairs, deduped across bands
+    member = np.repeat(np.arange(n), bands.shape[1])
+    ia, ib = group_pairs([np.tile(np.arange(bands.shape[1]), n), bands.ravel()],
+                         member, None, "name blocking", 0)
+    cand = set(zip(member[ia].tolist(), member[ib].tolist()))
     shingle_sets = [textnorm.char_shingles(s, shingle_k) for s in norm]
     return [
         (i, j)
         for i, j in cand
         if textnorm.jaccard(shingle_sets[i], shingle_sets[j]) >= threshold
     ]
+
+
+def _emit_cluster(out: Dict[str, List], mfr, names, cass, min_orders, max_orders,
+                  members) -> None:
+    """One chemical cluster (row indices ``members`` of one manufacturer)
+    -> its NODE row and its deduped N/C PROBE rows. The winner name is the
+    first-created member and the canonical CAS the last-created member's,
+    ties by (name, cas) — shared by the in-bucket union-find and the
+    component path, so both emit identical rows."""
+    winner = min(members, key=lambda i: (min_orders[i], names[i], cass[i]))
+    last = max(members, key=lambda i: (max_orders[i], names[i], cass[i]))
+    entity_id = stable_id("CHEMICAL", mfr, names[winner])
+    rows = [("NODE", None, entity_id, names[winner], cass[last] or None, mfr)]
+    seen_probes = set()
+    for i in members:
+        for probe in [probe_hash("N", mfr, names[i])] + (
+            [probe_hash("C", mfr, cass[i])] if cass[i] else []
+        ):
+            if probe not in seen_probes:
+                seen_probes.add(probe)
+                rows.append(("PROBE", probe, entity_id, None, None, None))
+    for row in rows:
+        for name, value in zip(MAPPING_SCHEMA.names, row):
+            out[name].append(value)
+
+
+def _mapping_table(out: Dict[str, List]) -> pa.Table:
+    return pa.table(
+        {name: pa.array(out[name], MAPPING_SCHEMA.field(name).type) for name in MAPPING_SCHEMA.names},
+        schema=MAPPING_SCHEMA,
+    )
 
 
 def _union_find_bucket(t: pa.Table, bucket_id: int,
@@ -184,14 +210,6 @@ def _union_find_bucket(t: pa.Table, bucket_id: int,
     canonical node. Default OFF: exact-equality linking matches the
     reference's SQL identity semantics bit-for-bit."""
     out: Dict[str, List] = {n: [] for n in MAPPING_SCHEMA.names}
-
-    def emit(kind, probe, entity, name=None, cas=None, mfr=None):
-        out["row_kind"].append(kind)
-        out["probe_key"].append(probe)
-        out["entity_id"].append(entity)
-        out["name"].append(name)
-        out["cas"].append(cas)
-        out["manufacturer"].append(mfr)
 
     # merge per-batch partials: same (mfr, name, cas) key from different
     # batches folds to global min/max order (vectorized lexsort merge)
@@ -289,28 +307,9 @@ def _union_find_bucket(t: pa.Table, bucket_id: int,
             clusters.setdefault(find(i), []).append(i)
 
         for members in clusters.values():
-            # (order, name, cas) tie-break matches _component_mapping exactly
-            winner = min(members, key=lambda i: (min_orders[i], names[i], cass[i]))
-            last = max(members, key=lambda i: (max_orders[i], names[i], cass[i]))
-            entity_id = stable_id("CHEMICAL", mfr, names[winner])
-            canon_cas = cass[last] if cass[last] else None
-            emit("NODE", None, entity_id, names[winner], canon_cas, mfr)
-            seen_probes = set()
-            for i in members:
-                nk = probe_hash("N", mfr, names[i])
-                if nk not in seen_probes:
-                    seen_probes.add(nk)
-                    emit("PROBE", nk, entity_id)
-                if cass[i]:
-                    ck = probe_hash("C", mfr, cass[i])
-                    if ck not in seen_probes:
-                        seen_probes.add(ck)
-                        emit("PROBE", ck, entity_id)
+            _emit_cluster(out, mfr, names, cass, min_orders, max_orders, members)
 
-    return pa.table(
-        {name: pa.array(out[name], MAPPING_SCHEMA.field(name).type) for name in MAPPING_SCHEMA.names},
-        schema=MAPPING_SCHEMA,
-    )
+    return _mapping_table(out)
 
 
 def _string_rank(values) -> np.ndarray:
@@ -360,27 +359,30 @@ def _assert_nonnull_keys(df: pd.DataFrame, cols=("manufacturer", "name", "cas"))
             )
 
 
-def _merge_distinct_keys(df: pd.DataFrame) -> pd.DataFrame:
-    """(manufacturer, name, cas) distinct with min(min_order)/max(max_order)
-    fold over a frame that already has min_order/max_order columns."""
+def _merge_distinct_keys(df: pd.DataFrame,
+                         keys=("manufacturer", "name", "cas")) -> pd.DataFrame:
+    """``keys`` distinct with min(min_order)/max(max_order) fold over a
+    frame that already has min_order/max_order columns."""
     n = len(df)
     if n == 0:
         return df
     _assert_nonnull_keys(df)
+    keys = list(keys)
     try:
-        codes = pd.factorize(
-            (df["manufacturer"] + "\x1f" + df["name"] + "\x1f" + df["cas"]).to_numpy()
-        )[0]
+        composite = df[keys[0]].astype(str)
+        for k in keys[1:]:
+            composite = composite + "\x1f" + df[k].astype(str)
+        codes = pd.factorize(composite.to_numpy())[0]
         rank_min = _string_rank(df["min_order"].to_numpy())
         rank_max = _string_rank(df["max_order"].to_numpy())
     except (UnicodeEncodeError, SystemError):
         return (
-            df.groupby(["manufacturer", "name", "cas"], sort=False)
+            df.groupby(keys, sort=False)
             .agg(min_order=("min_order", "min"), max_order=("max_order", "max"))
             .reset_index()
         )
     min_idx, max_idx = _distinct_minmax(codes, rank_min, rank_max)
-    cols = [df.columns.get_loc(c) for c in ("manufacturer", "name", "cas")]
+    cols = [df.columns.get_loc(c) for c in keys]
     out = df.iloc[min_idx, cols].copy()
     out["min_order"] = df["min_order"].to_numpy()[min_idx]
     out["max_order"] = df["max_order"].to_numpy()[max_idx]
@@ -656,67 +658,16 @@ def _component_mapping(rows_ds, n_buckets: int = 64):
     labeled = joined.map_batches(fill_comp, batch_format="pyarrow")
 
     def comp_bucket(t: pa.Table, bucket_id: int) -> pa.Table:
-        df = t.to_pandas()
         out: Dict[str, List] = {n: [] for n in MAPPING_SCHEMA.names}
-
-        def emit(kind, probe, entity, name=None, cas=None, mfr=None):
-            out["row_kind"].append(kind)
-            out["probe_key"].append(probe)
-            out["entity_id"].append(entity)
-            out["name"].append(name)
-            out["cas"].append(cas)
-            out["manufacturer"].append(mfr)
-
         # cross-batch duplicates of one (mfr, name, cas) key merge here, same
-        # as _union_find_bucket's in-bucket pre-merge (vectorized lexsort)
-        _assert_nonnull_keys(df)
-        try:
-            codes = pd.factorize(
-                (
-                    df["comp"].astype(str) + "\x1f" + df["manufacturer"]
-                    + "\x1f" + df["name"] + "\x1f" + df["cas"]
-                ).to_numpy()
-            )[0]
-            rank_min = _string_rank(df["min_order"].to_numpy())
-            rank_max = _string_rank(df["max_order"].to_numpy())
-            min_idx, max_idx = _distinct_minmax(codes, rank_min, rank_max)
-            maxs = df["max_order"].to_numpy()[max_idx]
-            df = df.iloc[min_idx][["comp", "manufacturer", "name", "cas", "min_order"]].copy()
-            df["max_order"] = maxs
-        except (UnicodeEncodeError, SystemError):
-            df = (
-                df.groupby(["comp", "manufacturer", "name", "cas"], sort=False)
-                .agg(min_order=("min_order", "min"), max_order=("max_order", "max"))
-                .reset_index()
-            )
+        # as _union_find_bucket's in-bucket pre-merge
+        df = _merge_distinct_keys(t.to_pandas(), ["comp", "manufacturer", "name", "cas"])
         for _, g in df.groupby("comp", sort=False):
             names = g["name"].to_numpy()
-            cass = g["cas"].to_numpy()
-            min_orders = g["min_order"].to_numpy()
-            max_orders = g["max_order"].to_numpy()
             mfr = g["manufacturer"].iloc[0]  # node ids embed the mfr: 1 per comp
-            members = range(len(names))
-            winner = min(members, key=lambda i: (min_orders[i], names[i], cass[i]))
-            last = max(members, key=lambda i: (max_orders[i], names[i], cass[i]))
-            entity_id = stable_id("CHEMICAL", mfr, names[winner])
-            canon_cas = cass[last] if cass[last] else None
-            emit("NODE", None, entity_id, names[winner], canon_cas, mfr)
-            seen_probes = set()
-            for i in members:
-                nk = probe_hash("N", mfr, names[i])
-                if nk not in seen_probes:
-                    seen_probes.add(nk)
-                    emit("PROBE", nk, entity_id)
-                if cass[i]:
-                    ck = probe_hash("C", mfr, cass[i])
-                    if ck not in seen_probes:
-                        seen_probes.add(ck)
-                        emit("PROBE", ck, entity_id)
-
-        return pa.table(
-            {n: pa.array(out[n], MAPPING_SCHEMA.field(n).type) for n in MAPPING_SCHEMA.names},
-            schema=MAPPING_SCHEMA,
-        )
+            _emit_cluster(out, mfr, names, g["cas"].to_numpy(), g["min_order"].to_numpy(),
+                          g["max_order"].to_numpy(), range(len(names)))
+        return _mapping_table(out)
 
     slim = labeled.select_columns(
         ["comp", "manufacturer", "name", "cas", "min_order", "max_order"]

@@ -774,16 +774,12 @@ def knn_graph_lsh(embeddings_ds, k: int = 5, n_bands: int = 24,
     across bands (dedup dst, re-rank, cut to k). No N^2 term anywhere:
     bucket population shrinks geometrically in bits_per_band, recall is
     recovered across bands, oversized buckets truncate at ``bucket_cap``
-    via seeded-hash uniform sampling with a LOGGED drop count (the
-    comentions hot-key policy). Recall vs the exact graph is pinned in
+    via the pair kernel's hash-uniform cap with a LOGGED drop count
+    (``functions/pairs.py``). Recall vs the exact graph is pinned in
     tests/test_knn_graph.py. Output schema == knn_graph."""
-    import logging
-
     import ray
 
     from .shuffle import bucket_group_apply
-
-    logger = logging.getLogger(__name__)
 
     import ray.data as rd
 
@@ -800,7 +796,8 @@ def knn_graph_lsh(embeddings_ds, k: int = 5, n_bands: int = 24,
     planes_ref = ray.put(rng.normal(size=(n_bands, bits_per_band, dim)))
     weights = 1 << np.arange(bits_per_band, dtype=np.int64)
 
-    from .dedup import cap_bucket_members, make_hyperplane_bucketizer
+    from ..functions.pairs import capped_members, group_starts
+    from .dedup import make_hyperplane_bucketizer
 
     # normalize=True: bucket_local_topk dots the carried rows raw (the
     # band keys are scale-invariant either way)
@@ -811,16 +808,15 @@ def knn_graph_lsh(embeddings_ds, k: int = 5, n_bands: int = 24,
     )
 
     def bucket_local_topk(t: pa.Table, bucket_id: int) -> pa.Table:
-        df = t.to_pandas()
+        keys = [t.column(c).to_numpy() for c in ("band_id", "band_key")]
+        vec_ids = t.column("vec_id").to_numpy()
+        kept = capped_members(keys, vec_ids, bucket_cap, "knn_graph_lsh", bucket_id)
+        mat_all = list_column_to_matrix(t.column("embedding"))
         src_o, dst_o, sim_o = [], [], []
-        n_truncated = 0
-        for _, g in df.groupby(["band_id", "band_key"], sort=False):
+        for g in np.split(kept, group_starts([k[kept] for k in keys])[1:]):
             if len(g) < 2:
                 continue
-            g, dropped = cap_bucket_members(g, bucket_cap)
-            n_truncated += dropped
-            ids = g["vec_id"].to_numpy()
-            mat = np.asarray(g["embedding"].tolist(), dtype=np.float64)
+            ids, mat = vec_ids[g], mat_all[g]
             sims = np.round(mat @ mat.T, 6)  # rows pre-normalized in bucketize
             np.fill_diagonal(sims, -2.0)
             kk = min(k, len(ids) - 1)
@@ -830,11 +826,6 @@ def knn_graph_lsh(embeddings_ds, k: int = 5, n_bands: int = 24,
             src_o.append(ids[rows])
             dst_o.append(ids[flat])
             sim_o.append(sims[rows, flat])
-        if n_truncated:
-            logger.warning(
-                "knn_graph_lsh bucket %d: %d vectors dropped by bucket_cap=%d",
-                bucket_id, n_truncated, bucket_cap,
-            )
         if not src_o:
             return pa.table({
                 "src_id": pa.array([], pa.int64()),
@@ -984,7 +975,7 @@ def embedding_decontaminate(embeddings_ds, eval_mod: int = 20,
     contaminated)."""
     import ray
 
-    from .shuffle import bucket_group_apply
+    from .shuffle import bucket_group_apply, materialize_blocks
 
     mod_ = int(eval_mod)
 
@@ -992,15 +983,17 @@ def embedding_decontaminate(embeddings_ds, eval_mod: int = 20,
         ids = t.column("vec_id").to_numpy(zero_copy_only=False).astype(np.int64)
         return t.filter(pa.array(ids % mod_ == 0))
 
-    ev = embeddings_ds.map_batches(eval_only, batch_format="pyarrow")
-    n_eval = ev.count()
+    # the eval side executes ONCE: the gate reads the row count from the
+    # kept blocks' metadata and the matrix collection reads those blocks
+    ev = materialize_blocks(embeddings_ds.map_batches(eval_only, batch_format="pyarrow"))
+    n_eval = ev.num_rows
     if n_eval > max_eval_rows:
         raise ValueError(
             f"embedding_decontaminate broadcasts the eval side; "
             f"{n_eval} eval rows exceed the {max_eval_rows} gate. Shrink "
             f"the eval set or raise max_eval_rows explicitly."
         )
-    e_ids, e_mat = _collect_matrix(ev)
+    e_ids, e_mat = _collect_matrix(ev.dataset())
     if not len(e_ids):
         import ray.data as rd
 

@@ -369,16 +369,17 @@ class TestUnbiasedBucketCap:
     def test_cap_keeps_id_uniform_sample(self):
         import numpy as np
 
-        from entity_extractor_ray.stages.dedup import _cap_ids_unbiased
+        from entity_extractor_ray.functions.pairs import capped_members
 
         ids = np.arange(10_000, dtype=np.int64)
-        kept = _cap_ids_unbiased(ids, 1000)
+        group = np.zeros(len(ids), dtype=np.int64)  # one oversized bucket
+        kept = ids[capped_members([group], ids, 1000, "unit", 0)]
         assert len(kept) == 1000 and len(np.unique(kept)) == 1000
         # an ids[:cap] slice keeps NOTHING above 999; the hash-order slice
         # must keep a roughly uniform spread across the id range
         assert (kept >= 5000).sum() > 350
         # deterministic across calls
-        assert (kept == _cap_ids_unbiased(ids, 1000)).all()
+        assert (kept == ids[capped_members([group], ids, 1000, "unit", 0)]).all()
 
 
 @pytest.mark.usefixtures("ray_session")

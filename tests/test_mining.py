@@ -9,9 +9,9 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from entity_extractor_ray.functions.pairs import capped_members
 from entity_extractor_ray.pipelines.mining import (
     _apply_merge_np,
-    _cap_posting_lists,
     basket_pair_lift,
     bpe_merges,
     bpe_merges_serial,
@@ -335,14 +335,21 @@ def test_pair_count_reduce_equals_ray_groupby():
 
 
 def test_cap_posting_lists_unit(caplog):
+    """The miners' hot-posting-list cap, now the pair kernel's
+    ``capped_members``: the properties the old private cap was held to."""
     import logging
 
     # segment layout (sorted by key,val): key 1 -> 100 members, key 2 -> 3,
     # key 3 -> 1; cap 10 must truncate ONLY key 1, uniformly + stably
     keys = np.r_[np.full(100, 1), np.full(3, 2), np.full(1, 3)].astype(np.int64)
     vals = np.r_[np.arange(100), np.arange(3), np.arange(1)].astype(np.int64)
-    with caplog.at_level(logging.WARNING, logger="entity_extractor_ray.mining"):
-        k1, v1 = _cap_posting_lists(keys, vals, 10, "unit", 0)
+
+    def cap(c):
+        kept = capped_members([keys], vals, c, "unit", 0)
+        return keys[kept], vals[kept]
+
+    with caplog.at_level(logging.WARNING, logger="entity_extractor_ray.pairs"):
+        k1, v1 = cap(10)
     # bounded, subset, order preserved, untouched segments exact
     assert list(k1).count(1) == 10 and list(k1).count(2) == 3 and list(k1).count(3) == 1
     assert set(v1[k1 == 1]) <= set(range(100))
@@ -353,11 +360,14 @@ def test_cap_posting_lists_unit(caplog):
     # drop counted + logged
     assert any("dropped 90" in r.message for r in caplog.records)
     # deterministic (process-stable hash)
-    k2, v2 = _cap_posting_lists(keys, vals, 10, "unit", 0)
+    k2, v2 = cap(10)
     assert np.array_equal(v1, v2)
     # no-op below the cap: identity, no log
-    k3, v3 = _cap_posting_lists(keys, vals, 1000, "unit", 0)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="entity_extractor_ray.pairs"):
+        k3, v3 = cap(1000)
     assert np.array_equal(k3, keys) and np.array_equal(v3, vals)
+    assert not caplog.records
 
 
 @pytest.mark.usefixtures("ray_session")

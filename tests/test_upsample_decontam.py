@@ -146,6 +146,28 @@ class TestEmbeddingDecontaminate:
         clean = df.drop(index=[0, 40, 100])
         assert not clean["contaminated"].any()
 
+    def test_eval_side_executes_once(self, tmp_path):
+        """The eval filter's row-count gate and its matrix collection read
+        one execution: a counting map on the 5-block input runs once per
+        block for the eval side and once per block for the train scan."""
+        from entity_extractor_ray.stages.similarity import (
+            embedding_decontaminate,
+        )
+
+        log = tmp_path / "calls.txt"
+
+        def counted(t: pa.Table) -> pa.Table:
+            with open(str(log), "a") as fh:
+                fh.write("x\n")
+            return t
+
+        ds, mat = _emb_ds(planted=(0, 40, 100))
+        got = embedding_decontaminate(
+            ds.map_batches(counted, batch_format="pyarrow"), eval_mod=20, threshold=0.9
+        ).to_pandas()
+        assert len(got) == len(_serial_decontam(mat, 20, 0.9))
+        assert len(log.read_text().splitlines()) == 2 * 5
+
     def test_gate_raises(self):
         from entity_extractor_ray.stages.similarity import (
             embedding_decontaminate,
